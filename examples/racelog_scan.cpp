@@ -58,10 +58,10 @@ void usage(const char *Argv0) {
       "usage: %s [options] [LOG.tsrl...]\n"
       "scan options:\n"
       "  --shards N          address shards (power of two, default 1)\n"
-      "  --jobs N            detect workers: 1 sequential (default),\n"
-      "                      anything else = shard tasks on the shared pool\n"
+      "  --jobs N            scan workers: 1 sequential (default), N > 1 =\n"
+      "                      block checks and up to N shard tasks on the\n"
+      "                      shared pool (0 = the pool's width)\n"
       "  --oracle            full-vector-clock engine instead of epochs\n"
-      "  --window N          pipeline window in events (default 65536)\n"
       "  --max-races N       cap on reported races (default 64)\n"
       "  --deadline-ms N     wall-clock budget for each scan\n"
       "  --max-visited N     event budget for each scan\n"
@@ -209,10 +209,6 @@ int main(int argc, char **argv) {
       RO.Workers = static_cast<unsigned>(U);
     } else if (A == "--oracle") {
       RO.Epochs = false;
-    } else if (A == "--window") {
-      if (!needUnsigned(U))
-        return 2;
-      RO.WindowEvents = static_cast<size_t>(U);
     } else if (A == "--max-races") {
       if (!needUnsigned(U))
         return 2;

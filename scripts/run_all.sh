@@ -101,13 +101,14 @@ wait "$dpid" && drc=0 || drc=$?
 # Racelog stage under ASan: the log-format/engine suite (torn tails,
 # flipped CRCs, injected detect faults) plus an end-to-end generate+scan
 # through the CLI — the writer, CRC framing, and both engines touch every
-# byte they produce (see docs/TRACELOG.md).
+# byte they produce (see docs/TRACELOG.md). The scan uses --jobs 4 so the
+# pooled path (parallel block checks and detect tasks) runs under ASan.
 echo "===== sanitizer racelog smoke ====="
 cmake --build build-asan --target test_racelog racelog_scan
 ./build-asan/tests/test_racelog
 ./build-asan/examples/racelog_scan --gen mixed --events 200000 \
   --out build-asan/racelog_smoke.tsrl
-./build-asan/examples/racelog_scan --shards 4 \
+./build-asan/examples/racelog_scan --shards 4 --jobs 4 \
   build-asan/racelog_smoke.tsrl && rc=0 || rc=$?
 [ "$rc" -eq 1 ] || { echo "expected races in the mixed log (rc=$rc)"; exit 1; }
 
@@ -119,14 +120,15 @@ echo "===== thread sanitizer parallel smoke ====="
 cmake -B build-tsan -G Ninja -DTRACESAFE_TSAN=ON
 cmake --build build-tsan --target \
   test_threadpool test_intern test_parallel_enumerate test_tso_parallel \
-  test_racelog_differential fuzz_harness
+  test_racelog test_racelog_differential fuzz_harness
 ./build-tsan/tests/test_threadpool
 ./build-tsan/tests/test_intern
 ./build-tsan/tests/test_parallel_enumerate
 ./build-tsan/tests/test_tso_parallel
-# The racelog differential suite drives the pooled shard pipeline (worker
-# tasks + interned clock snapshots) on every trace — the racelog TSan
-# surface.
+# The racelog suites run the pooled scan (parallel block checks, then
+# detect tasks charging one shared budget) on synthetic logs and
+# on every differential trace — the racelog TSan surface.
+./build-tsan/tests/test_racelog
 ./build-tsan/tests/test_racelog_differential
 ./build-tsan/examples/fuzz_harness --programs 100 --deadline-ms 60000 \
   --seed 3 --no-thin-air --query-deadline-ms 50 --jobs 4 --semantic

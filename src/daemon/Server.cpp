@@ -195,14 +195,15 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
 
 /// RaceLog queries bypass the program pipeline entirely: Q.Program is a
 /// TSRL log image, scanned by the streaming detector. Primary = epoch
-/// engine over 4 address shards; the degraded fallback (EngineFault only,
-/// like every other kind) is the full-vector-clock oracle engine inline.
+/// engine, one shard on the calling worker (the daemon parallelises
+/// across queries); the degraded fallback (EngineFault only, like every
+/// other kind) is the full-vector-clock oracle engine.
 QueryResponse runRaceLog(const std::string &Log, Budget &B, bool Oracle) {
   QueryResponse R;
   R.Status = ResponseStatus::Ok;
   racelog::RaceLogOptions O;
   O.Epochs = !Oracle;
-  O.Shards = Oracle ? 1u : 4u;
+  O.Shards = 1;
   O.Workers = 1;
   O.Shared = &B;
   racelog::RaceLogReport Rep = racelog::scanRaceLog(Log, O);

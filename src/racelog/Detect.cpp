@@ -1,10 +1,10 @@
 #include "racelog/Detect.h"
 
 #include "support/Failure.h"
-#include "support/Intern.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <memory>
 #include <unordered_map>
@@ -36,15 +36,6 @@ inline uint64_t mixAddr(uint64_t Z) {
   Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBULL;
   return Z ^ (Z >> 31);
 }
-
-/// Read-only view of one thread's vector clock at the moment of an
-/// access. Entries past the stored length are zero (the thread had not
-/// heard of those tids yet).
-struct ClockRef {
-  const uint64_t *C = nullptr;
-  size_t N = 0;
-  uint64_t of(uint32_t T) const { return T < N ? C[T] : 0; }
-};
 
 /// Bump-pointer arena for clock storage (read-clock spills). Chunks never
 /// move or shrink, spans are handed out zeroed, and real chunk sizes are
@@ -100,7 +91,7 @@ struct SpillVC {
 
 /// The FastTrack / DJIT+ state machine for the addresses of one shard.
 /// Accesses must arrive in log order per address; the caller guarantees
-/// this (either the inline scan, or shard routing which preserves it).
+/// this (every detect task walks the log in order).
 class ShardState {
 public:
   ShardState(Budget *B, bool Epochs, size_t MaxRaces)
@@ -109,9 +100,12 @@ public:
     Mask = Table.size() - 1;
   }
 
-  void access(uint64_t Addr, bool IsWrite, uint32_t Tid, Epoch E,
-              ClockRef C, uint64_t EventIndex) {
-    Slot &V = lookup(Addr);
+  /// \p H is mixAddr(Addr); \p Now is the accessing thread's vector
+  /// clock, zero past its length (tids it has not heard of yet).
+  void access(uint64_t Addr, uint64_t H, bool IsWrite, uint32_t Tid, Epoch E,
+              const std::vector<uint64_t> &Now, uint64_t EventIndex) {
+    auto C = [&Now](uint32_t T) { return T < Now.size() ? Now[T] : 0; };
+    Slot &V = lookup(Addr, H);
     if (V.Flags & FlagRacy)
       return; // location already reported racy; nothing new to learn
     uint64_t Clk = epochClk(E);
@@ -125,7 +119,7 @@ public:
     if (!IsWrite) {
       if (Epochs && V.R == E)
         return; // read same epoch: the dominant same-thread fast path
-      if (V.W && epochClk(V.W) > C.of(epochTid(V.W)))
+      if (V.W && epochClk(V.W) > C(epochTid(V.W)))
         return race(epochTid(V.W), /*PrevWrite=*/true);
       if (!Epochs) {
         // Oracle engine: the read clock is always a full vector.
@@ -139,7 +133,7 @@ public:
         return;
       }
       if (!V.R || epochTid(V.R) == Tid ||
-          epochClk(V.R) <= C.of(epochTid(V.R))) {
+          epochClk(V.R) <= C(epochTid(V.R))) {
         // Exclusive read: same thread, or the previous read happens-
         // before this one (replacing it is sound by transitivity — any
         // later access ordered after this read is ordered after the
@@ -162,30 +156,29 @@ public:
     if (Epochs && V.W == E)
       return; // write same epoch: no release by Tid since the last write,
               // so no other thread can have ordered an access after it
-    if (V.W && epochClk(V.W) > C.of(epochTid(V.W)))
+    if (V.W && epochClk(V.W) > C(epochTid(V.W)))
       return race(epochTid(V.W), /*PrevWrite=*/true);
     if (V.Spill != NoSpill) {
       SpillVC &S = Spills[V.Spill];
       for (uint32_t U = 0; U < S.Len; ++U)
-        if (S.Clk[U] > C.of(U))
+        if (S.Clk[U] > C(U))
           return race(U, /*PrevWrite=*/false);
       if (Epochs)
         V.Spill = NoSpill; // reads all ordered: back to epoch mode
       else
         std::fill_n(S.Clk, S.Len, 0); // oracle keeps the vector
-    } else if (V.R && epochClk(V.R) > C.of(epochTid(V.R)))
+    } else if (V.R && epochClk(V.R) > C(epochTid(V.R)))
       return race(epochTid(V.R), /*PrevWrite=*/false);
     V.W = E;
     V.R = 0;
   }
 
-  /// Hints the cache that \p Addr's slot is about to be probed. Issued a
-  /// few events ahead of access() so the (random-address) table miss
-  /// overlaps the decode of the intervening events instead of stalling
-  /// the state machine. Purely a hint: a pointer staled by a concurrent
-  /// grow() is still safe to prefetch.
-  void prefetch(uint64_t Addr) const {
-    __builtin_prefetch(&Table[mixAddr(Addr) & Mask], 1, 3);
+  /// Hints the cache that the slot of the address hashing to \p H is
+  /// about to be probed. Issued for a whole window of accesses before
+  /// their access() calls, so the (random-address) table misses overlap
+  /// each other instead of stalling the state machine one by one.
+  void prefetch(uint64_t H) const {
+    __builtin_prefetch(&Table[H & Mask], 1, 3);
   }
 
   std::vector<RaceRecord> Races; ///< first race per location, log order
@@ -193,8 +186,8 @@ public:
   uint64_t ReadShares = 0;
 
 private:
-  Slot &lookup(uint64_t Addr) {
-    size_t I = mixAddr(Addr) & Mask;
+  Slot &lookup(uint64_t Addr, uint64_t H) {
+    size_t I = H & Mask;
     for (;;) {
       Slot &V = Table[I];
       if (V.Flags & FlagUsed) {
@@ -203,7 +196,7 @@ private:
       } else {
         if ((Size + 1) * 10 >= Table.size() * 7) {
           grow();
-          return lookup(Addr);
+          return lookup(Addr, H);
         }
         V.Addr = Addr;
         V.Flags = FlagUsed;
@@ -264,7 +257,6 @@ private:
 
 struct LiveClocks {
   std::vector<std::vector<uint64_t>> C; ///< per-tid vector clocks
-  std::vector<Epoch> Cur;               ///< cached current epoch per tid
   uint64_t Threads = 0;
 
   bool known(uint32_t T) const { return T < C.size() && !C[T].empty(); }
@@ -272,60 +264,146 @@ struct LiveClocks {
   void ensure(uint32_t T) {
     if (known(T))
       return;
-    if (T >= C.size()) {
+    if (T >= C.size())
       C.resize(T + 1);
-      Cur.resize(T + 1, 0);
-    }
     C[T].resize(T + 1, 0);
     C[T][T] = 1;
-    Cur[T] = mkEpoch(T, 1);
     ++Threads;
   }
 
-  void tick(uint32_t T) {
-    uint64_t Clk = ++C[T][T];
-    Cur[T] = mkEpoch(T, Clk);
-  }
+  void tick(uint32_t T) { ++C[T][T]; }
+  Epoch epoch(uint32_t T) const { return mkEpoch(T, C[T][T]); }
 
-  ClockRef ref(uint32_t T) const { return {C[T].data(), C[T].size()}; }
-
-  /// Dst |_|= Src. Returns true when Dst changed.
-  static bool joinInto(std::vector<uint64_t> &Dst,
+  /// Dst |_|= Src.
+  static void joinInto(std::vector<uint64_t> &Dst,
                        const std::vector<uint64_t> &Src) {
     if (Src.size() > Dst.size())
       Dst.resize(Src.size(), 0);
-    bool Changed = false;
     for (size_t I = 0; I < Src.size(); ++I)
-      if (Src[I] > Dst[I]) {
-        Dst[I] = Src[I];
-        Changed = true;
-      }
-    return Changed;
+      Dst[I] = std::max(Dst[I], Src[I]);
   }
 };
 
 //===----------------------------------------------------------------------===//
-// The scan pipeline
+// The scan: parallel ingest, replicated clock pass, partitioned accesses
 //===----------------------------------------------------------------------===//
 
 unsigned normalisedShards(unsigned Requested) {
-  unsigned N = std::clamp(Requested, 1u, 64u);
-  unsigned P = 1;
-  while (P < N)
-    P <<= 1;
-  return P;
+  return std::bit_ceil(std::clamp(Requested, 1u, 64u));
 }
 
-/// An access routed to its shard: everything the per-shard state machine
-/// needs, with the issuing thread's clock referenced by interned snapshot
-/// id (clocks only change at synchronisation events, so one snapshot
-/// covers a whole run of accesses).
-struct Routed {
-  uint64_t Addr;
-  Epoch E;
-  uint64_t EventIndex;
-  uint32_t Snap;
-  uint8_t IsWrite;
+/// Runs Fn(0) .. Fn(N - 1) as tasks on the shared pool (the waiting
+/// caller helps), rethrowing the first task exception. A single task runs
+/// on the calling thread.
+template <typename F> void forTasks(unsigned N, const F &Fn) {
+  if (N < 2) {
+    for (unsigned I = 0; I < N; ++I)
+      Fn(I);
+    return;
+  }
+  ThreadPool::TaskGroup G(ThreadPool::shared());
+  for (unsigned I = 0; I < N; ++I)
+    G.spawn([&Fn, I] { Fn(I); });
+  G.wait();
+  if (std::exception_ptr E = G.takeException())
+    std::rethrow_exception(E);
+}
+
+/// One detect task. It replays every sync event of the log, in order,
+/// with its own clocks and lock table, and runs the state machine only for
+/// the accesses of its own shards, [Lo, Lo + Count) of Shards: together
+/// the tasks make the state transitions of one inline scan. A shard is
+/// chosen by the top ShardBits bits of the address hash (ShardState::
+/// lookup uses the low bits, so the two stay independent).
+class DetectTask {
+public:
+  DetectTask(const std::vector<std::unique_ptr<ShardState>> &Shards,
+             unsigned ShardBits, unsigned Lo, unsigned Count)
+      : Shards(Shards), ShardBits(ShardBits), Lo(Lo), Count(Count),
+        // A window holds about 16 of the task's accesses: larger batches
+        // of prefetches measured slower on the one-task scan.
+        Span(std::min<size_t>(64, 16 * Shards.size() / Count)) {}
+
+  /// Detects the next block of the prefix. Windows of records: hash every
+  /// address and mark, without a branch, the records this task handles
+  /// (sync events and its own accesses); prefetch the slots of the marked
+  /// accesses so the table misses overlap; replay the marked records.
+  void block(std::string_view P) {
+    const size_t N = P.size() / EventRecordSize;
+    for (size_t W0 = 0; W0 < N; W0 += Span) {
+      const char *W = P.data() + W0 * EventRecordSize;
+      auto isAccess = [W](unsigned R) {
+        return static_cast<uint8_t>(W[R * EventRecordSize]) <=
+               static_cast<uint8_t>(Op::Write);
+      };
+      uint64_t Marked = 0;
+      for (unsigned R = 0, Len = std::min(Span, N - W0); R < Len; ++R) {
+        uint16_t T;
+        __builtin_memcpy(&T, W + R * EventRecordSize + 2, 2);
+        if (!TC.known(T))
+          TC.ensure(T); // every task sees every thread
+        uint64_t A;
+        __builtin_memcpy(&A, W + R * EventRecordSize + 8, 8);
+        H[R] = mixAddr(A);
+        Marked |= uint64_t(!isAccess(R) || of(H[R]) - Lo < Count) << R;
+      }
+      for (uint64_t M = Marked; M; M &= M - 1)
+        if (unsigned R = __builtin_ctzll(M); isAccess(R))
+          Shards[of(H[R])]->prefetch(H[R]);
+      for (uint64_t M = Marked; M; M &= M - 1) {
+        unsigned R = __builtin_ctzll(M);
+        LogEvent E;
+        decodeEvent(W + R * EventRecordSize, E);
+        apply(E, H[R], Events + W0 + R);
+      }
+    }
+    Events += N;
+  }
+
+  uint64_t Events = 0; ///< events detected so far
+  LiveClocks TC;
+
+private:
+  unsigned of(uint64_t H) const { return (H >> 1) >> (63 - ShardBits); }
+
+  void apply(const LogEvent &E, uint64_t H, uint64_t Idx) {
+    switch (E.Kind) {
+    case Op::Read:
+    case Op::Write:
+      Shards[of(H)]->access(E.Addr, H, E.Kind == Op::Write, E.Tid,
+                            TC.epoch(E.Tid), TC.C[E.Tid], Idx);
+      break;
+    case Op::Acquire:
+      if (auto It = Locks.find(E.Addr); It != Locks.end())
+        LiveClocks::joinInto(TC.C[E.Tid], It->second);
+      break;
+    case Op::Release:
+      // Join (not overwrite): §3 happens-before relates *any* earlier
+      // release to a later acquire of the same lock id — volatiles are
+      // lock ids too, with no mutual exclusion — so the lock clock
+      // accumulates every releaser (the classic overwrite, for
+      // well-nested monitors).
+      LiveClocks::joinInto(Locks[E.Addr], TC.C[E.Tid]);
+      TC.tick(E.Tid);
+      break;
+    case Op::Fork:
+      TC.ensure(E.Target);
+      LiveClocks::joinInto(TC.C[E.Target], TC.C[E.Tid]);
+      TC.tick(E.Tid);
+      break;
+    case Op::Join:
+      TC.ensure(E.Target);
+      LiveClocks::joinInto(TC.C[E.Tid], TC.C[E.Target]);
+      TC.tick(E.Target);
+      break;
+    }
+  }
+
+  const std::vector<std::unique_ptr<ShardState>> &Shards;
+  unsigned ShardBits, Lo, Count;
+  size_t Span;
+  std::unordered_map<uint64_t, std::vector<uint64_t>> Locks;
+  uint64_t H[64] = {}; ///< address hashes of the current window
 };
 
 RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
@@ -338,197 +416,104 @@ RaceLogReport scanImpl(std::string_view Bytes, const RaceLogOptions &O) {
   }
 
   const unsigned NShards = normalisedShards(O.Shards);
-  const bool Inline = NShards == 1;
-  const bool Pooled = !Inline && O.Workers != 1;
-  const unsigned ShardShift = 64 - __builtin_ctz(NShards);
-
+  const unsigned Width =
+      O.Workers ? O.Workers : ThreadPool::shared().workerCount();
+  const bool Pooled = Width > 1;
   Budget *B = O.Shared;
-  Budget::Scope Charge(B);
-
-  LiveClocks TC;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> Locks;
 
   std::vector<std::unique_ptr<ShardState>> Shards;
-  Shards.reserve(NShards);
   for (unsigned I = 0; I < NShards; ++I)
-    Shards.push_back(
-        std::make_unique<ShardState>(B, O.Epochs, O.MaxRaces));
+    Shards.push_back(std::make_unique<ShardState>(B, O.Epochs, O.MaxRaces));
+  const unsigned Tasks = std::min(NShards, Width);
+  std::vector<DetectTask> Det;
+  for (unsigned T = 0; T < Tasks; ++T)
+    Det.emplace_back(Shards, std::countr_zero(NShards), T * NShards / Tasks,
+                     (T + 1) * NShards / Tasks - T * NShards / Tasks);
 
-  // Sharded-mode machinery: clock snapshots interned once per sync step
-  // (lock-free lookups from the shard tasks), per-shard routed queues,
-  // and a window barrier bounding their memory.
-  InternPool Snaps(0, B);
-  std::vector<uint32_t> SnapId; // per tid; ~0u = stale
-  std::vector<std::vector<Routed>> Queues(NShards);
-  size_t WindowFill = 0;
-  const size_t Window = std::max<size_t>(O.WindowEvents, 1024);
+  // Ingest: walk the block headers; pooled, check every block's CRC and
+  // records up front, in stripes across the tasks.
+  struct Block {
+    std::string_view Payload;
+    uint32_t Crc = 0;
+    bool Ok = false;
+  };
+  std::vector<Block> Blocks;
+  for (std::string_view P = Cur.nextPayload(); !P.empty();
+       P = Cur.nextPayload())
+    Blocks.push_back({P, Cur.crc()});
+  const unsigned Stripes =
+      static_cast<unsigned>(std::min<size_t>(Width, Blocks.size()));
+  if (Pooled)
+    forTasks(Stripes, [&](unsigned T) {
+      for (size_t I = T; I < Blocks.size(); I += Stripes)
+        Blocks[I].Ok = validBlock(Blocks[I].Payload, Blocks[I].Crc);
+    });
 
-  auto invalidate = [&](uint32_t T) {
-    if (T < SnapId.size())
-      SnapId[T] = ~0u;
-  };
-  auto snapOf = [&](uint32_t T) {
-    if (T >= SnapId.size())
-      SnapId.resize(T + 1, ~0u);
-    if (SnapId[T] == ~0u)
-      SnapId[T] = Snaps.intern(TC.C[T].data(), TC.C[T].size()).Id;
-    return SnapId[T];
-  };
-  auto flushWindow = [&] {
-    auto runShard = [&](unsigned S) {
-      ShardState &St = *Shards[S];
-      const std::vector<Routed> &Q = Queues[S];
-      for (size_t I = 0; I != Q.size(); ++I) {
-        if (I + 8 < Q.size())
-          St.prefetch(Q[I + 8].Addr);
-        const Routed &R = Q[I];
-        auto [Ptr, Len] = Snaps.view(R.Snap);
-        St.access(R.Addr, R.IsWrite != 0, epochTid(R.E), R.E,
-                  ClockRef{Ptr, Len}, R.EventIndex);
-      }
-      Queues[S].clear();
-    };
-    if (!Pooled) {
-      for (unsigned S = 0; S < NShards; ++S)
-        runShard(S);
-    } else {
-      ThreadPool::TaskGroup G(ThreadPool::shared());
-      for (unsigned S = 0; S < NShards; ++S)
-        G.spawn([&runShard, S] { runShard(S); });
-      G.wait();
-      if (std::exception_ptr E = G.takeException())
-        std::rethrow_exception(E);
-    }
-    WindowFill = 0;
-  };
-
-  uint64_t EventIndex = 0;
-  bool Stop = false;
-  // How far ahead of the state machine slot lines are prefetched. Eight
-  // records (~300ns of decode work at current speeds) is enough to hide
-  // an L3 miss without evicting lines before they are used.
-  constexpr size_t PrefetchDist = 8 * EventRecordSize;
-  for (std::string_view P = Cur.nextPayload(); !P.empty() && !Stop;
-       P = Cur.nextPayload()) {
-    // The injectable failure point of the detect loop: probed once per
-    // block, so hit counters replay exactly from (plan, log).
-    faultThrowInjected(FaultSite::RaceDetect);
-    const char *Ptr = P.data();
-    const char *End = Ptr + P.size();
-    // Validate every record up front: a CRC-valid block containing a
-    // record this reader does not understand is dropped *whole*, together
-    // with everything after it — the same block-granularity valid-prefix
-    // rule decodeLog applies (clock updates cannot be unwound, so
-    // validation must precede application). decodeEvent is inline and the
-    // decoded fields are dead here, so this pass compiles down to just
-    // the validity checks over the (cache-hot) payload.
-    bool BlockOk = true;
-    for (const char *V = Ptr; V != End; V += EventRecordSize) {
-      LogEvent E;
-      if (!decodeEvent(V, E)) {
-        BlockOk = false;
-        break;
-      }
-    }
-    if (!BlockOk) {
+  // Then, in log order: cut the prefix at the first bad block, probe the
+  // detect fault site once per block (so hit counters replay exactly from
+  // (plan, log)) and charge one visit per event (so a query's Visited is
+  // the same for every configuration). In the calling thread, each block
+  // is checked and detected here while it is in cache.
+  std::vector<std::string_view> Prefix;
+  Budget::Scope Charge(B);
+  for (Block &K : Blocks) {
+    if (!Pooled)
+      K.Ok = validBlock(K.Payload, K.Crc);
+    if (!K.Ok) {
       Rep.Stats.TornTail = true;
       Rep.Stats.DroppedBytes = static_cast<uint64_t>(
-          Bytes.data() + Bytes.size() - Ptr + BlockHeaderSize);
+          Bytes.data() + Bytes.size() - K.Payload.data() + BlockHeaderSize);
       break;
     }
+    faultThrowInjected(FaultSite::RaceDetect);
     ++Rep.Stats.Blocks;
-    Rep.Stats.PayloadBytes += P.size();
-    for (; Ptr != End; Ptr += EventRecordSize) {
-      LogEvent E;
-      decodeEvent(Ptr, E);
-      if (Inline && End - Ptr > static_cast<ptrdiff_t>(PrefetchDist)) {
-        // Peek at the raw record a few slots ahead (the payload is
-        // already validated) and warm its table line.
-        const char *F = Ptr + PrefetchDist;
-        if (static_cast<uint8_t>(F[0]) <= static_cast<uint8_t>(Op::Write)) {
-          uint64_t A;
-          __builtin_memcpy(&A, F + 8, 8);
-          Shards[0]->prefetch(A);
-        }
-      }
-      if (!Charge.charge()) {
-        Rep.Stats.Truncated = true;
-        Rep.Stats.Reason = B ? B->reason() : TruncationReason::StateCap;
-        Stop = true;
-        break;
-      }
-      ++Rep.Stats.Events;
-      uint64_t Idx = EventIndex++;
-      switch (E.Kind) {
-      case Op::Read:
-      case Op::Write: {
-        if (!TC.known(E.Tid))
-          TC.ensure(E.Tid);
-        bool W = E.Kind == Op::Write;
-        if (Inline) {
-          Shards[0]->access(E.Addr, W, E.Tid, TC.Cur[E.Tid],
-                            TC.ref(E.Tid), Idx);
-        } else {
-          uint32_t S = snapOf(E.Tid);
-          unsigned Sh =
-              static_cast<unsigned>(mixAddr(E.Addr) >> ShardShift);
-          Queues[Sh].push_back(
-              {E.Addr, TC.Cur[E.Tid], Idx, S, W ? uint8_t(1) : uint8_t(0)});
-          if (++WindowFill >= Window)
-            flushWindow();
-        }
-        break;
-      }
-      case Op::Acquire: {
-        TC.ensure(E.Tid);
-        auto It = Locks.find(E.Addr);
-        if (It != Locks.end() &&
-            LiveClocks::joinInto(TC.C[E.Tid], It->second))
-          invalidate(E.Tid);
-        break;
-      }
-      case Op::Release: {
-        TC.ensure(E.Tid);
-        // Join (not overwrite): this repo's §3 happens-before relates
-        // *any* earlier release to a later acquire of the same lock id —
-        // volatile accesses are modelled as lock ids too, with no mutual
-        // exclusion — so the lock clock accumulates every releaser.
-        // Equivalent to the classic overwrite for well-nested monitors.
-        LiveClocks::joinInto(Locks[E.Addr], TC.C[E.Tid]);
-        TC.tick(E.Tid);
-        invalidate(E.Tid);
-        break;
-      }
-      case Op::Fork: {
-        TC.ensure(E.Tid);
-        TC.ensure(E.Target);
-        if (LiveClocks::joinInto(TC.C[E.Target], TC.C[E.Tid]))
-          invalidate(E.Target);
-        TC.tick(E.Tid);
-        invalidate(E.Tid);
-        break;
-      }
-      case Op::Join: {
-        TC.ensure(E.Tid);
-        TC.ensure(E.Target);
-        if (LiveClocks::joinInto(TC.C[E.Tid], TC.C[E.Target]))
-          invalidate(E.Tid);
-        TC.tick(E.Target);
-        invalidate(E.Target);
-        break;
-      }
-      }
+    Rep.Stats.PayloadBytes += K.Payload.size();
+    const size_t Records = K.Payload.size() / EventRecordSize;
+    size_t N = B ? 0 : Records;
+    while (N < Records && Charge.charge())
+      ++N;
+    if (N < Records) {
+      Rep.Stats.Truncated = true;
+      Rep.Stats.Reason = B->reason();
     }
+    std::string_view P = K.Payload.substr(0, N * EventRecordSize);
+    if (Pooled)
+      Prefix.push_back(P);
+    else
+      Det[0].block(P);
+    Rep.Stats.Events += N;
+    if (Rep.Stats.Truncated)
+      break;
   }
-  if (!Inline)
-    flushWindow();
   Charge.settle();
-
-  if (Cur.tornTail()) {
+  if (!Rep.Stats.Truncated && !Rep.Stats.TornTail && Cur.tornTail()) {
     Rep.Stats.TornTail = true;
     Rep.Stats.DroppedBytes = Cur.droppedBytes();
   }
-  Rep.Stats.Threads = TC.Threads;
+
+  // Pooled detect: every task walks the whole prefix. A prefix cut by the
+  // ingest charges is detected in full; otherwise the tasks poll the
+  // budget once per block.
+  Budget *Poll = Rep.Stats.Truncated ? nullptr : B;
+  if (Pooled)
+    forTasks(Tasks, [&](unsigned T) {
+      for (std::string_view P : Prefix) {
+        if (Poll && !Poll->chargeBytes(0))
+          break;
+        Det[T].block(P);
+      }
+    });
+  // Under a mid-detection stop, report only what every task got through.
+  const DetectTask &Least = *std::min_element(
+      Det.begin(), Det.end(), [](const DetectTask &A, const DetectTask &C) {
+        return A.Events < C.Events;
+      });
+  if (Poll && Poll->exhausted()) {
+    Rep.Stats.Truncated = true;
+    Rep.Stats.Reason = Poll->reason();
+    Rep.Stats.Events = Least.Events;
+  }
+  Rep.Stats.Threads = Least.TC.Threads;
 
   std::vector<RaceRecord> All;
   for (auto &S : Shards) {

@@ -25,15 +25,17 @@
 ///    location, by the FastTrack equivalence argument (docs/
 ///    PERFORMANCE.md).
 ///
-/// Sharding: with Options.Shards > 1 the scan runs as a pipeline —
-/// synchronisation events update the live thread clocks sequentially (in
-/// log order), accesses are stamped with their thread's current clock
-/// (interned once per sync step into an InternPool, the PR-7 lock-free
-/// discipline) and routed by address hash to per-shard detectors, which
-/// the window barrier runs on the shared ThreadPool. Every address lives
-/// in exactly one shard and its accesses arrive in log order, so the
-/// racy-location set and the first racy event per location are identical
-/// for every shard count and worker width.
+/// Sharding: the clock pass is replicated, the accesses partitioned. The
+/// ingest checks block CRCs and records (in parallel unless Workers = 1,
+/// which checks and detects each block in turn), cuts the valid prefix at
+/// the first bad block, and probes FaultSite::RaceDetect once per block
+/// and charges one visit per event, in log order. Each detect task
+/// replays every sync event with its own clocks and runs the state
+/// machine only for addresses hashing into its own shards, so verdicts
+/// are identical for every shard count and worker width. A visit cap ends
+/// the ingest and the charged prefix is detected in full; an exhaustion
+/// during detection stops every task within one block, and Stats.Events
+/// then counts only events every task processed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,18 +53,15 @@ namespace tracesafe {
 namespace racelog {
 
 struct RaceLogOptions {
-  /// Address shards for the detect stage (rounded up to a power of two,
-  /// clamped to [1, 64]). 1 = the inline single-table fast path.
+  /// Address shards for the detect step (rounded up to a power of two,
+  /// clamped to [1, 64]). 1 = one state table.
   unsigned Shards = 1;
-  /// 1 = everything in the calling thread (shards processed in order);
-  /// anything else = per-shard detection tasks on the shared ThreadPool.
-  /// Verdicts are identical for every width.
+  /// 1 = one detect task in the calling thread; N > 1 = block checks and
+  /// one detect task per shard, at most N, on the shared ThreadPool (0 =
+  /// the pool's width). Verdicts are identical for every width.
   unsigned Workers = 1;
   /// False selects the full-vector-clock oracle engine.
   bool Epochs = true;
-  /// Pipeline window: accesses routed between two shard barriers. Bounds
-  /// the routed-queue memory, does not affect results.
-  size_t WindowEvents = 1 << 16;
   /// Cap on reported RaceRecords (the racy-location *count* in Stats is
   /// always exact). Races are reported first-per-location in log order.
   size_t MaxRaces = 64;
@@ -87,7 +86,7 @@ struct RaceRecord {
 };
 
 struct RaceLogStats {
-  uint64_t Events = 0;      ///< events ingested (== budget visits charged)
+  uint64_t Events = 0;      ///< events every detect task processed
   uint64_t Blocks = 0;
   uint64_t PayloadBytes = 0;///< record bytes scanned
   uint64_t Threads = 0;     ///< distinct tids seen

@@ -184,11 +184,20 @@ std::string_view BlockCursor::nextPayload() {
   if (Bytes.size() - Pos - BlockHeaderSize < Len)
     return tear("torn block payload");
   std::string_view Payload = Bytes.substr(Pos + BlockHeaderSize, Len);
-  if (crc32(Payload.data(), Payload.size()) != loadU32(Hdr + 12))
-    return tear("block crc mismatch");
+  Crc = loadU32(Hdr + 12);
   Pos += BlockHeaderSize + Len;
   ++Blocks;
   return Payload;
+}
+
+bool racelog::validBlock(std::string_view Payload, uint32_t Crc) {
+  if (crc32(Payload.data(), Payload.size()) != Crc)
+    return false;
+  LogEvent E;
+  for (size_t Off = 0; Off < Payload.size(); Off += EventRecordSize)
+    if (!decodeEvent(Payload.data() + Off, E))
+      return false;
+  return true;
 }
 
 bool racelog::decodeLog(std::string_view Bytes, std::vector<LogEvent> &Out,
@@ -202,26 +211,19 @@ bool racelog::decodeLog(std::string_view Bytes, std::vector<LogEvent> &Out,
   }
   for (std::string_view P = Cur.nextPayload(); !P.empty();
        P = Cur.nextPayload()) {
-    size_t Kept = Out.size();
-    bool Bad = false;
-    for (size_t Off = 0; Off < P.size(); Off += EventRecordSize) {
-      LogEvent E;
-      if (!decodeEvent(P.data() + Off, E)) {
-        Bad = true;
-        break;
-      }
-      Out.push_back(E);
-    }
-    if (Bad) {
-      // A CRC-valid block with an invalid record: the recorder wrote
-      // something this reader does not understand. Drop the whole block
-      // and everything after it (valid-prefix rule, record granularity).
-      Out.resize(Kept);
+    if (!validBlock(P, Cur.crc())) {
+      // A flipped bit, or a record this reader does not understand: drop
+      // the whole block and everything after it.
       D.TornTail = true;
       D.DroppedBytes = Bytes.size() - (P.data() - Bytes.data()) +
                        BlockHeaderSize;
       D.Blocks = Cur.blocks() - 1;
       return true;
+    }
+    for (size_t Off = 0; Off < P.size(); Off += EventRecordSize) {
+      LogEvent E;
+      decodeEvent(P.data() + Off, E);
+      Out.push_back(E);
     }
     D.Blocks = Cur.blocks();
   }

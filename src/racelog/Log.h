@@ -114,13 +114,13 @@ private:
 // Reader
 //===----------------------------------------------------------------------===//
 
-/// Block-wise cursor over an in-memory log image with valid-prefix
-/// semantics. Construction validates the file header; nextPayload() hands
-/// out consecutive CRC-checked block payloads (raw 16-byte records) and
-/// stops at the first unusable block, recording why and how many bytes
-/// were dropped. A log that is nothing but a valid header is a valid
-/// empty log; a file too short for the header, or with the wrong magic or
-/// version, is not a log at all (ok() == false).
+/// Block-wise cursor over an in-memory log image. Construction validates
+/// the file header; nextPayload() hands out consecutive framed payloads
+/// (raw 16-byte records) and stops at the first torn or misframed block,
+/// recording why and how many bytes were dropped. Readers check each
+/// payload with validBlock(crc()). A log that is nothing but a valid
+/// header is a valid empty log; a file too short for the header, or with
+/// the wrong magic or version, is not a log at all (ok() == false).
 class BlockCursor {
 public:
   explicit BlockCursor(std::string_view Bytes);
@@ -142,11 +142,14 @@ public:
   const std::string &tailError() const { return Error; }
 
   uint64_t blocks() const { return Blocks; }
+  /// The CRC the last returned block's header claims for its payload.
+  uint32_t crc() const { return Crc; }
 
 private:
   std::string_view Bytes;
   size_t Pos = 0;
   uint64_t Blocks = 0;
+  uint32_t Crc = 0;
   bool HeaderOk = false;
   bool Torn = false;
   bool Done = false;
@@ -184,6 +187,10 @@ inline bool decodeEvent(const char *In, LogEvent &E) {
   __builtin_memcpy(&E.Addr, In + 8, 8);
   return true;
 }
+
+/// True when \p Payload matches its header's \p Crc and every record in
+/// it decodes; the first block that fails ends the valid prefix, whole.
+bool validBlock(std::string_view Payload, uint32_t Crc);
 
 /// Convenience: decode an entire log image into \p Out (appending).
 /// Returns false only when the header is unusable; a torn tail still

@@ -52,6 +52,16 @@ std::vector<RaceKey> keys(const RaceLogReport &R) {
   return Out;
 }
 
+RaceLogReport scanCfg(const std::string &Log, unsigned Shards,
+                      unsigned Workers, bool Epochs = true) {
+  RaceLogOptions O;
+  O.Shards = Shards;
+  O.Workers = Workers;
+  O.Epochs = Epochs;
+  O.MaxRaces = 1 << 20;
+  return scanRaceLog(Log, O);
+}
+
 //===----------------------------------------------------------------------===//
 // Format: codec and valid-prefix robustness
 //===----------------------------------------------------------------------===//
@@ -191,6 +201,47 @@ TEST(RaceLogFormat, WriterNeverSplitsARecordAcrossBlocks) {
   EXPECT_FALSE(Cur.tornTail());
 }
 
+TEST(RaceLogFormat, PooledScanCutsThePrefixLikeInline) {
+  // A race in the first block, so the verdicts say more than Unknown.
+  std::vector<LogEvent> In = {wr(0, 7), wr(1, 7)};
+  for (uint32_t I = 0; I < 298; ++I)
+    In.push_back(wr(I % 3, 100 + I));
+  std::string Log = makeLog(In, /*PerBlock=*/100);
+  const size_t Block = BlockHeaderSize + 100 * EventRecordSize;
+
+  std::string Torn = Log.substr(0, Log.size() - 37);
+  std::string Flipped = Log;
+  Flipped[FileHeaderSize + Block + BlockHeaderSize + 40] ^= 0x10;
+  std::string Unknown = Log;
+  size_t Rec = FileHeaderSize + Block + BlockHeaderSize + 16 * 5;
+  Unknown[Rec] = 99; // invalid op in block 2, CRC fixed up
+  uint32_t Crc = crc32(Unknown.data() + FileHeaderSize + Block +
+                           BlockHeaderSize,
+                       100 * EventRecordSize);
+  std::memcpy(Unknown.data() + FileHeaderSize + Block + 12, &Crc, 4);
+
+  struct Case {
+    const std::string &Log;
+    uint64_t Blocks, Dropped;
+  } Cases[] = {{Torn, 2, Block - 37},
+               {Flipped, 1, 2 * Block},
+               {Unknown, 1, 2 * Block}};
+  for (const Case &C : Cases) {
+    RaceLogReport In1 = scanCfg(C.Log, 1, 1);
+    RaceLogReport In4 = scanCfg(C.Log, 4, 4);
+    EXPECT_EQ(In1.Stats.Blocks, C.Blocks);
+    EXPECT_TRUE(In1.Stats.TornTail);
+    EXPECT_EQ(In1.Stats.DroppedBytes, C.Dropped);
+    EXPECT_EQ(In1.verdict(), VerdictKind::Refuted);
+    EXPECT_EQ(In4.Stats.Blocks, In1.Stats.Blocks);
+    EXPECT_EQ(In4.Stats.TornTail, In1.Stats.TornTail);
+    EXPECT_EQ(In4.Stats.DroppedBytes, In1.Stats.DroppedBytes);
+    EXPECT_EQ(In4.Stats.Events, In1.Stats.Events);
+    EXPECT_EQ(In4.Races, In1.Races);
+    EXPECT_EQ(In4.verdict(), In1.verdict());
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Detection semantics
 //===----------------------------------------------------------------------===//
@@ -306,18 +357,6 @@ TEST(RaceLogDetect, FirstRacePerLocationAndExactRacyCount) {
 // Engine equivalence and configuration determinism
 //===----------------------------------------------------------------------===//
 
-RaceLogReport scanCfg(const std::string &Log, unsigned Shards,
-                      unsigned Workers, bool Epochs,
-                      size_t Window = 1 << 16) {
-  RaceLogOptions O;
-  O.Shards = Shards;
-  O.Workers = Workers;
-  O.Epochs = Epochs;
-  O.WindowEvents = Window;
-  O.MaxRaces = 1 << 20;
-  return scanRaceLog(Log, O);
-}
-
 TEST(RaceLogEngines, EpochAndOracleAgreeOnSynthWorkloads) {
   SynthOptions S;
   S.Events = 40000;
@@ -360,14 +399,15 @@ TEST(RaceLogEngines, ShardAndWorkerConfigurationsAreBitIdentical) {
     for (bool Epochs : {true, false}) {
       RaceLogReport Base = scanCfg(Log, 1, 1, Epochs);
       for (unsigned Shards : {2u, 4u, 8u}) {
-        for (unsigned Workers : {1u, 4u}) {
-          // Tiny window: many barriers, to stress the pipeline seams.
-          RaceLogReport R = scanCfg(Log, Shards, Workers, Epochs, 512);
+        for (unsigned Workers : {1u, 2u, 4u}) {
+          RaceLogReport R = scanCfg(Log, Shards, Workers, Epochs);
           EXPECT_EQ(Base.Races, R.Races)
               << "shards=" << Shards << " workers=" << Workers
               << " epochs=" << Epochs;
           EXPECT_EQ(Base.Stats.RacyLocations, R.Stats.RacyLocations);
           EXPECT_EQ(Base.Stats.ReadShares, R.Stats.ReadShares);
+          EXPECT_EQ(Base.Stats.Events, R.Stats.Events);
+          EXPECT_EQ(Base.Stats.Threads, R.Stats.Threads);
         }
       }
     }
@@ -386,21 +426,30 @@ TEST(RaceLogBudget, VisitCapTruncatesAndVisitedIsDeterministic) {
   BudgetSpec Spec;
   Spec.MaxVisited = 5000;
   std::vector<uint64_t> Seen;
+  std::vector<std::vector<RaceRecord>> Races;
   for (unsigned Shards : {1u, 4u}) {
-    Budget B(Spec);
-    RaceLogOptions O;
-    O.Shards = Shards;
-    O.Shared = &B;
-    RaceLogReport R = scanRaceLog(Log, O);
-    EXPECT_TRUE(R.Stats.Truncated);
-    EXPECT_EQ(R.Stats.Reason, TruncationReason::StateCap);
-    // One visit per ingested event (the final, refused charge consumes
-    // one more index), so the charge stream is identical for every
-    // configuration — the daemon's idempotent-replay contract.
-    EXPECT_EQ(R.Stats.Events + 1, B.visited());
-    Seen.push_back(B.visited());
+    for (unsigned Workers : {1u, 4u}) {
+      Budget B(Spec);
+      RaceLogOptions O;
+      O.Shards = Shards;
+      O.Workers = Workers;
+      O.Shared = &B;
+      RaceLogReport R = scanRaceLog(Log, O);
+      EXPECT_TRUE(R.Stats.Truncated);
+      EXPECT_EQ(R.Stats.Reason, TruncationReason::StateCap);
+      // One visit per ingested event (the final, refused charge consumes
+      // one more index), so the charge stream is identical for every
+      // configuration — the daemon's idempotent-replay contract.
+      EXPECT_EQ(R.Stats.Events + 1, B.visited());
+      Seen.push_back(B.visited());
+      // The charged prefix is detected in full, whatever the split.
+      Races.push_back(R.Races);
+    }
   }
-  EXPECT_EQ(Seen[0], Seen[1]);
+  for (size_t I = 1; I < Seen.size(); ++I) {
+    EXPECT_EQ(Seen[0], Seen[I]);
+    EXPECT_EQ(Races[0], Races[I]);
+  }
 }
 
 TEST(RaceLogBudget, UnbudgetedScanIsUnbounded) {
@@ -423,6 +472,65 @@ TEST(RaceLogBudget, MemoryGrowthIsCharged) {
   scanRaceLog(Log, O);
   // State tables and clock spills grew; their real sizes were charged.
   EXPECT_GT(B.chargedBytes(), 0u);
+}
+
+TEST(RaceLogBudget, MemoryCapRaisedDuringDetectionTruncates) {
+  SynthOptions S;
+  S.Events = 200000;
+  S.Seed = 5;
+  std::string Log = makeMixedLog(S);
+  const uint64_t Total = scanRaceLog(Log).Stats.Events;
+  BudgetSpec Spec;
+  Spec.MaxMemoryBytes = 1; // the first table growth or spill exhausts it
+  for (unsigned Width : {1u, 4u}) {
+    Budget B(Spec);
+    RaceLogOptions O;
+    O.Shards = Width;
+    O.Workers = Width;
+    O.Shared = &B;
+    RaceLogReport R = scanRaceLog(Log, O);
+    EXPECT_TRUE(R.Stats.Truncated);
+    EXPECT_EQ(R.Stats.Reason, TruncationReason::MemoryCap);
+    EXPECT_LT(R.Stats.Events, Total);
+    if (Width == 1) {
+      // Blocks are charged and detected in turn: the next block's first
+      // charge sees the sticky exhaustion before it takes a visit.
+      EXPECT_EQ(R.Stats.Events, B.visited());
+    } else {
+      // The ingest charged every event before detection raised the cap;
+      // Events counts only whole blocks every task got through.
+      EXPECT_EQ(B.visited(), Total);
+      EXPECT_EQ(R.Stats.Events % DefaultEventsPerBlock, 0u);
+    }
+  }
+}
+
+TEST(RaceLogBudget, CancelTruncatesAndDetectsTheChargedPrefix) {
+  SynthOptions S;
+  S.Events = 20000;
+  S.Seed = 3;
+  std::string Log = makeMixedLog(S);
+  CancelToken Tok;
+  Tok.request();
+  std::vector<RaceLogReport> Out;
+  for (unsigned Width : {1u, 4u}) {
+    Budget B(BudgetSpec{}, &Tok);
+    RaceLogOptions O;
+    O.Shards = Width;
+    O.Workers = Width;
+    O.MaxRaces = 1 << 20;
+    O.Shared = &B;
+    RaceLogReport R = scanRaceLog(Log, O);
+    EXPECT_TRUE(R.Stats.Truncated);
+    EXPECT_EQ(R.Stats.Reason, TruncationReason::Cancelled);
+    // The token is seen at the first clock check, visit 256; the refused
+    // charge is the only visit not counted as an event.
+    EXPECT_EQ(R.Stats.Events + 1, B.visited());
+    EXPECT_EQ(B.visited(), 256u);
+    Out.push_back(R);
+  }
+  EXPECT_EQ(Out[0].Races, Out[1].Races);
+  EXPECT_EQ(Out[0].Stats.Threads, Out[1].Stats.Threads);
 }
 
 //===----------------------------------------------------------------------===//
@@ -460,6 +568,35 @@ TEST(RaceLogFault, InjectedDetectFaultIsContainedAsUnknown) {
   EXPECT_EQ(Replay.hits(FaultSite::RaceDetect), 3u);
   // And the engine is immediately reusable after containment.
   EXPECT_EQ(scanRaceLog(Log).verdict(), VerdictKind::Proved);
+}
+
+TEST(RaceLogFault, DetectFaultReplaysExactlyOnThePooledPath) {
+  SynthOptions S;
+  S.Events = 200000; // ~49 blocks: a probe run from the parallel block
+                     // checks would show extra hits
+  std::string Log = makeRaceFreeLog(S);
+  RaceLogOptions O;
+  O.Shards = 4;
+  O.Workers = 4;
+  for (int Round = 0; Round < 2; ++Round) {
+    FaultPlan Plan;
+    Plan.arm(FaultSite::RaceDetect, /*FireAt=*/3);
+    FaultPlan::Scope Armed(Plan);
+    RaceLogReport R = scanRaceLog(Log, O);
+    EXPECT_TRUE(R.Stats.Truncated);
+    EXPECT_EQ(R.Stats.Reason, TruncationReason::EngineFault);
+    EXPECT_EQ(Plan.fired(FaultSite::RaceDetect), 1u);
+    EXPECT_EQ(Plan.hits(FaultSite::RaceDetect), 3u);
+  }
+  // A plan that never fires counts one hit per block.
+  FaultPlan Count;
+  Count.arm(FaultSite::RaceDetect, /*FireAt=*/1u << 30);
+  {
+    FaultPlan::Scope Armed(Count);
+    RaceLogReport R = scanRaceLog(Log, O);
+    EXPECT_EQ(R.verdict(), VerdictKind::Proved);
+    EXPECT_EQ(Count.hits(FaultSite::RaceDetect), R.Stats.Blocks);
+  }
 }
 
 TEST(RaceLogFault, ReportStrMentionsTheOutcome) {

@@ -67,7 +67,6 @@ void checkInterleaving(const Interleaving &I, DiffTally &Tally) {
     O.Shards = K.Shards;
     O.Workers = K.Workers;
     O.Epochs = K.Epochs;
-    O.WindowEvents = 16; // force many pipeline barriers on short logs
     O.MaxRaces = 1 << 20;
     RaceLogReport R = scanRaceLog(C.Log, O);
     ASSERT_TRUE(R.FormatOk);

@@ -51,9 +51,14 @@ done
 # fuzzer for ~30 seconds (see docs/ROBUSTNESS.md).
 echo "===== sanitizer fuzz smoke ====="
 cmake -B build-asan -G Ninja -DTRACESAFE_SANITIZE=ON
-cmake --build build-asan --target fuzz_harness test_budget test_shrink
+cmake --build build-asan --target fuzz_harness test_budget test_shrink \
+  test_intern test_tso_parallel
 ./build-asan/tests/test_budget
 ./build-asan/tests/test_shrink
+# Interning arenas (oversize spans, geometric chunks) and the buffered
+# engine's per-worker caches.
+./build-asan/tests/test_intern
+./build-asan/tests/test_tso_parallel
 ./build-asan/examples/fuzz_harness --programs 2000 --deadline-ms 30000 \
   --seed 1 --query-deadline-ms 50
 ./build-asan/examples/fuzz_harness --programs 200 --deadline-ms 30000 \

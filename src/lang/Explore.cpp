@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 
 using namespace tracesafe;
 
@@ -143,14 +142,8 @@ Traceset tracesafe::programTraceset(const Program &P,
     // thread order keeps the result independent of scheduling.
     std::vector<Traceset> Parts(NumThreads, Traceset(Domain));
     std::vector<ExploreStats> PartStats(NumThreads);
-    std::unique_ptr<ThreadPool> Owned;
-    ThreadPool *Pool = &ThreadPool::shared();
-    if (Limits.Workers > 1) {
-      Owned = std::make_unique<ThreadPool>(Limits.Workers);
-      Pool = Owned.get();
-    }
     {
-      ThreadPool::TaskGroup G(*Pool);
+      ThreadPool::TaskGroup G(ThreadPool::ofWidth(Limits.Workers));
       for (ThreadId Tid = 0; Tid < NumThreads; ++Tid)
         G.spawn([&P, &Domain, &Parts, &PartStats, Limits, Tid] {
           PartStats[Tid] =

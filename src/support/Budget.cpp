@@ -31,8 +31,7 @@ bool Budget::checkInterrupts() {
   // live counters here costs the mirrored observer nothing on the hot
   // loop and bounds the heartbeat staleness by one check interval.
   if (MirrorVisited)
-    MirrorVisited->store(MirrorVisitedBase +
-                             Visited.load(std::memory_order_relaxed),
+    MirrorVisited->store(MirrorVisitedBase + Visited.value(),
                          std::memory_order_relaxed);
   if (MirrorBytes)
     MirrorBytes->store(MirrorBytesBase +
@@ -97,7 +96,7 @@ std::string BudgetSpec::str() const {
 }
 
 std::string Budget::describe() const {
-  std::string Out = "visited " + std::to_string(Visited) + " states, " +
+  std::string Out = "visited " + std::to_string(visited()) + " states, " +
                     std::to_string(Bytes_) + "B charged, " +
                     std::to_string(elapsedMs()) + "ms elapsed";
   if (exhausted())

@@ -85,6 +85,53 @@ struct BudgetSpec {
   std::string str() const;
 };
 
+/// A shared tally that is handed out in blocks (see Budget::Scope and
+/// CounterScope). A scope reserves a block of 1-based indices with one
+/// fetch_add on Top and returns what it did not use when it settles. The
+/// return must never let an index be handed out twice: if no later block
+/// was reserved meanwhile, the scope rolls Top back over its unused tail;
+/// otherwise the tail stays reserved and is counted in Holes instead.
+/// value() = Top - Holes is exact once every scope has settled, and a run
+/// with one scope at a time never makes a hole.
+class BlockCounter {
+public:
+  /// Reserves \p N indices; returns the index before the first of them.
+  uint64_t reserve(uint64_t N) {
+    return Top.fetch_add(N, std::memory_order_relaxed);
+  }
+
+  /// Returns the unused tail (Base + Used, Base + Cap] of a reserved
+  /// block.
+  void release(uint64_t Base, uint64_t Used, uint64_t Cap) {
+    if (Cap == Used)
+      return;
+    uint64_t Expected = Base + Cap;
+    if (!Top.compare_exchange_strong(Expected, Base + Used,
+                                     std::memory_order_relaxed))
+      Holes.fetch_add(Cap - Used, std::memory_order_release);
+  }
+
+  /// The number of indices reserved and not returned.
+  uint64_t value() const {
+    // Holes first: every hole lies below a Top value published before it.
+    uint64_t H = Holes.load(std::memory_order_acquire);
+    uint64_t T = Top.load(std::memory_order_relaxed);
+    return T > H ? T - H : 0;
+  }
+
+  /// The rank of index \p Index among the indices not returned, as far as
+  /// this thread has seen the returns: exact with one scope at a time.
+  /// The visit caps compare ranks, so returned tails do not use them up.
+  uint64_t rank(uint64_t Index) const {
+    uint64_t H = Holes.load(std::memory_order_relaxed);
+    return Index > H ? Index - H : 0;
+  }
+
+private:
+  std::atomic<uint64_t> Top{0};
+  std::atomic<uint64_t> Holes{0};
+};
+
 /// A live budget: the mutable counterpart of a BudgetSpec. Engines call
 /// charge() once per state expansion; the call is cheap (the clock is only
 /// consulted every few hundred charges). A Budget is shared by address —
@@ -109,9 +156,9 @@ public:
   bool charge(uint64_t Bytes = 0) {
     if (Exhausted.load(std::memory_order_relaxed) != TruncationReason::None)
       return false;
-    uint64_t V = Visited.fetch_add(1, std::memory_order_relaxed) + 1;
+    uint64_t V = Visited.reserve(1) + 1;
     uint64_t B = Bytes_.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-    if (Spec.MaxVisited && V > Spec.MaxVisited) {
+    if (Spec.MaxVisited && Visited.rank(V) > Spec.MaxVisited) {
       exhaust(TruncationReason::StateCap);
       return false;
     }
@@ -139,10 +186,9 @@ public:
   bool chargeMany(uint64_t Visits, uint64_t Bytes) {
     if (Exhausted.load(std::memory_order_relaxed) != TruncationReason::None)
       return false;
-    uint64_t V = Visited.fetch_add(Visits, std::memory_order_relaxed) +
-                 Visits;
+    uint64_t V = Visited.reserve(Visits) + Visits;
     uint64_t B = Bytes_.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-    if (Spec.MaxVisited && V > Spec.MaxVisited) {
+    if (Spec.MaxVisited && Visited.rank(V) > Spec.MaxVisited) {
       exhaust(TruncationReason::StateCap);
       return false;
     }
@@ -201,10 +247,11 @@ public:
   /// cancel token / fault plan are consulted at exactly the indices
   /// divisible by 256, and the sticky exhaustion flag is observed on every
   /// charge so cancellation still unwinds within one check interval.
-  /// Unconsumed indices are returned at settle()/destruction, so once all
-  /// scopes of a query quiesce, visited() equals the exact number of
-  /// charges — the warmth-invariance contract the BehaviourCache replay
-  /// relies on.
+  /// Unconsumed indices are returned at settle()/destruction (see
+  /// BlockCounter: never to be handed out again while a later block is
+  /// live), so once all scopes of a query quiesce, visited() equals the
+  /// exact number of charges — the warmth-invariance contract the
+  /// BehaviourCache replay relies on.
   class Scope {
   public:
     /// \p B may be null (unbudgeted query): charge() then always succeeds.
@@ -222,12 +269,12 @@ public:
           TruncationReason::None)
         return false;
       if (Used == Cap) {
-        Base = B->Visited.fetch_add(Block, std::memory_order_relaxed);
+        Base = B->Visited.reserve(Block);
         Used = 0;
         Cap = Block;
       }
       uint64_t V = Base + ++Used;
-      if (B->Spec.MaxVisited && V > B->Spec.MaxVisited) {
+      if (B->Spec.MaxVisited && B->Visited.rank(V) > B->Spec.MaxVisited) {
         B->exhaust(TruncationReason::StateCap);
         return false;
       }
@@ -248,8 +295,8 @@ public:
     /// shared counter. Call at task boundaries (and implicitly from the
     /// destructor) so visited() is exact at quiescence.
     void settle() {
-      if (B && Cap > Used)
-        B->Visited.fetch_sub(Cap - Used, std::memory_order_relaxed);
+      if (B)
+        B->Visited.release(Base, Used, Cap);
       Base = 0;
       Used = Cap = 0;
     }
@@ -268,7 +315,7 @@ public:
   TruncationReason reason() const {
     return Exhausted.load(std::memory_order_relaxed);
   }
-  uint64_t visited() const { return Visited.load(std::memory_order_relaxed); }
+  uint64_t visited() const { return Visited.value(); }
   uint64_t chargedBytes() const {
     return Bytes_.load(std::memory_order_relaxed);
   }
@@ -302,7 +349,7 @@ private:
   std::chrono::steady_clock::time_point Start;
   std::optional<std::chrono::steady_clock::time_point> Deadline;
   const CancelToken *Cancel = nullptr;
-  std::atomic<uint64_t> Visited{0};
+  BlockCounter Visited;
   std::atomic<uint64_t> Bytes_{0};
   std::atomic<TruncationReason> Exhausted{TruncationReason::None};
   std::atomic<uint64_t> *MirrorVisited = nullptr;
@@ -311,21 +358,21 @@ private:
   uint64_t MirrorBytesBase = 0;
 };
 
-/// Block-reserving view over a plain shared atomic tally (the engines'
+/// Block-reserving view over a shared BlockCounter (the engines'
 /// per-query visit counters). Same contention-avoidance idea as
-/// Budget::Scope: next() hands out 1-based global indices from a locally
+/// Budget::Scope: next() hands out unique 1-based indices from a locally
 /// reserved block, and settle() (or destruction) returns the unconsumed
 /// remainder, so the counter is exact once all scopes quiesce.
 class CounterScope {
 public:
-  explicit CounterScope(std::atomic<uint64_t> &C) : C(C) {}
+  explicit CounterScope(BlockCounter &C) : C(C) {}
   ~CounterScope() { settle(); }
   CounterScope(const CounterScope &) = delete;
   CounterScope &operator=(const CounterScope &) = delete;
 
   uint64_t next() {
     if (Used == Cap) {
-      Base = C.fetch_add(Block, std::memory_order_relaxed);
+      Base = C.reserve(Block);
       Used = 0;
       Cap = Block;
     }
@@ -333,15 +380,14 @@ public:
   }
 
   void settle() {
-    if (Cap > Used)
-      C.fetch_sub(Cap - Used, std::memory_order_relaxed);
+    C.release(Base, Used, Cap);
     Base = 0;
     Used = Cap = 0;
   }
 
 private:
   static constexpr uint32_t Block = 64;
-  std::atomic<uint64_t> &C;
+  BlockCounter &C;
   uint64_t Base = 0;
   uint32_t Used = 0;
   uint32_t Cap = 0;

@@ -2,6 +2,7 @@
 
 #include "support/Failure.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
@@ -42,7 +43,11 @@ uint64_t InternPool::hashWords(const uint64_t *Words, size_t N) {
 }
 
 struct InternPool::Shard {
-  static constexpr size_t ChunkWords = 1 << 13; // 64 KiB of span storage
+  /// Span storage grows geometrically: a query that interns a few hundred
+  /// words per shard (a tiny program on a wide pool) allocates 2 KiB per
+  /// shard it touches instead of 64 KiB. Chunks are not zero-filled.
+  static constexpr size_t FirstChunkWords = 256;
+  static constexpr size_t MaxChunkWords = 1 << 13;
 
   struct Entry {
     const uint64_t *Ptr;
@@ -71,7 +76,9 @@ struct InternPool::Shard {
   std::vector<std::unique_ptr<Table>> Retired; // all tables, incl. live
   std::array<std::atomic<Entry *>, StableChunks> EntryChunks{};
   std::vector<std::unique_ptr<uint64_t[]>> WordChunks;
-  size_t ChunkUsed = ChunkWords; // full: first intern allocates
+  size_t ChunkUsed = 0; ///< words used in WordChunks.back(); <= ChunkCap
+  size_t ChunkCap = 0;  ///< size of WordChunks.back() (0: none yet)
+  size_t NextChunkWords = FirstChunkWords;
   std::atomic<uint32_t> Count{0};
   std::atomic<uint64_t> Bytes{0};
 
@@ -108,17 +115,16 @@ struct InternPool::Shard {
       static const uint64_t Dummy = 0;
       return &Dummy;
     }
-    if (N > ChunkWords - ChunkUsed) {
-      size_t Cap = N > ChunkWords ? N : ChunkWords;
-      WordChunks.push_back(std::make_unique<uint64_t[]>(Cap));
+    if (N > ChunkCap - ChunkUsed) {
+      // A span longer than the next chunk gets a chunk of its own size,
+      // which it fills; the following span opens a fresh chunk.
+      size_t Cap = std::max(N, NextChunkWords);
+      NextChunkWords = std::min(NextChunkWords * 2, MaxChunkWords);
+      WordChunks.push_back(std::make_unique_for_overwrite<uint64_t[]>(Cap));
       ChunkUsed = 0;
+      ChunkCap = Cap;
       Charged += Cap * sizeof(uint64_t);
       Bytes.fetch_add(Cap * sizeof(uint64_t), std::memory_order_relaxed);
-      if (Cap > ChunkWords) { // dedicated oversize chunk; retire it
-        ChunkUsed = Cap;
-        std::memcpy(WordChunks.back().get(), Words, N * sizeof(uint64_t));
-        return WordChunks.back().get();
-      }
     }
     uint64_t *Dst = WordChunks.back().get() + ChunkUsed;
     std::memcpy(Dst, Words, N * sizeof(uint64_t));
@@ -160,15 +166,19 @@ namespace {
 
 /// Per-thread cache of recently interned spans. One direct-mapped line
 /// per low hash byte; entries are validated against the pool by word
-/// compare, and the never-reused pool generation makes a line from a
-/// dead pool (or a different live one) miss instead of aliasing.
+/// compare. Each line carries the never-reused generation of the pool it
+/// came from, so a line from a dead pool (or a different live one) misses
+/// instead of aliasing. Tagging lines rather than the whole cache lets a
+/// thread alternate between pools (the engines intern every state into
+/// one pool and its sleep signature into another) without wiping the
+/// cache on every switch.
 struct FrontCache {
   struct Line {
+    uint64_t Gen = 0;
     uint64_t Hash = 0;
     uint32_t Id = 0;
-    uint32_t Len = 0xFFFFFFFFu;
+    uint32_t Len = 0;
   };
-  uint64_t Gen = 0;
   std::array<Line, 256> Lines;
 };
 
@@ -177,6 +187,12 @@ thread_local FrontCache TlsFront;
 std::atomic<uint64_t> NextGeneration{1};
 
 } // namespace
+
+unsigned InternPool::shardBitsFor(unsigned Workers) {
+  if (Workers <= 1)
+    return 0;
+  return std::min(6u, static_cast<unsigned>(std::bit_width(4 * Workers - 1)));
+}
 
 InternPool::InternPool(unsigned ShardBits, Budget *Shared)
     : ShardBits(ShardBits),
@@ -197,13 +213,8 @@ InternPool::Result InternPool::intern(const uint64_t *Words, size_t N) {
   uint64_t Hash = hashWords(Words, N);
 
   // Front cache: a hit here touches no shared cache line at all.
-  FrontCache &F = TlsFront;
-  if (F.Gen != Generation) {
-    F.Gen = Generation;
-    F.Lines.fill({});
-  }
-  FrontCache::Line &L = F.Lines[Hash & 0xFF];
-  if (L.Hash == Hash && L.Len == N) {
+  FrontCache::Line &L = TlsFront.Lines[Hash & 0xFF];
+  if (L.Gen == Generation && L.Hash == Hash && L.Len == N) {
     auto [Ptr, Len] = view(L.Id);
     if (Len == N && (N == 0 || std::memcmp(Ptr, Words, N * 8) == 0))
       return {L.Id, false};
@@ -224,7 +235,7 @@ InternPool::Result InternPool::intern(const uint64_t *Words, size_t N) {
           (N == 0 || std::memcmp(E.Ptr, Words, N * sizeof(uint64_t)) == 0)) {
         uint32_t Id = ((V - 1) << ShardBits) |
                       static_cast<uint32_t>(Hash & ((1u << ShardBits) - 1));
-        L = {Hash, Id, static_cast<uint32_t>(N)};
+        L = {Generation, Hash, Id, static_cast<uint32_t>(N)};
         return {Id, false};
       }
       I = (I + 1) & Mask;
@@ -241,7 +252,7 @@ InternPool::Result InternPool::intern(const uint64_t *Words, size_t N) {
         (N == 0 || std::memcmp(E.Ptr, Words, N * sizeof(uint64_t)) == 0)) {
       uint32_t Id = ((V - 1) << ShardBits) |
                     static_cast<uint32_t>(Hash & ((1u << ShardBits) - 1));
-      L = {Hash, Id, static_cast<uint32_t>(N)};
+      L = {Generation, Hash, Id, static_cast<uint32_t>(N)};
       return {Id, false};
     }
     I = (I + 1) & Mask;
@@ -261,7 +272,7 @@ InternPool::Result InternPool::intern(const uint64_t *Words, size_t N) {
     Shared->chargeBytes(Charged);
   uint32_t Id = (Idx << ShardBits) |
                 static_cast<uint32_t>(Hash & ((1u << ShardBits) - 1));
-  L = {Hash, Id, static_cast<uint32_t>(N)};
+  L = {Generation, Hash, Id, static_cast<uint32_t>(N)};
   return {Id, true};
 }
 

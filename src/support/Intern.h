@@ -29,8 +29,8 @@
 /// reader racing a grow probes a stale-but-valid table and at worst
 /// misses a fresh entry — then falls through to the authoritative locked
 /// path. A small thread-local front cache of recently interned spans
-/// (keyed by a never-reused pool generation and verified word-for-word
-/// against the arena) keeps hot spans from hammering cross-shard cache
+/// (each line tagged with its pool's never-reused generation and
+/// verified word-for-word against the arena) keeps hot spans from hammering cross-shard cache
 /// lines at all. Arena chunks never move, so a span view stays valid for
 /// the pool's lifetime.
 ///
@@ -81,6 +81,10 @@ public:
   uint64_t bytes() const;
 
   static uint64_t hashWords(const uint64_t *Words, size_t N);
+
+  /// Shard bits for a pool (or SleepMemo) shared by \p Workers threads:
+  /// about four shards per worker, none for one worker, at most 2^6.
+  static unsigned shardBitsFor(unsigned Workers);
 
 private:
   struct Shard;

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <memory>
 
 using namespace tracesafe;
@@ -31,9 +32,20 @@ unsigned ThreadPool::defaultWorkerCount() {
   return Hw > 0 ? Hw : 1;
 }
 
-ThreadPool &ThreadPool::shared() {
-  static ThreadPool Pool;
-  return Pool;
+ThreadPool &ThreadPool::ofWidth(unsigned Workers) {
+  if (Workers == 0)
+    Workers = defaultWorkerCount();
+  static std::mutex M;
+  static std::map<unsigned, std::unique_ptr<ThreadPool>> Pools;
+  std::lock_guard<std::mutex> Lock(M);
+  std::unique_ptr<ThreadPool> &Pool = Pools[Workers];
+  if (!Pool)
+    Pool = std::make_unique<ThreadPool>(Workers);
+  return *Pool;
+}
+
+int ThreadPool::currentIndex() const {
+  return CurrentWorker.Pool == this ? CurrentWorker.Index : -1;
 }
 
 ThreadPool::ThreadPool(unsigned WorkerCount) {
@@ -68,6 +80,7 @@ void ThreadPool::push(Task T) {
                       Queues.size();
   {
     std::lock_guard<std::mutex> Lock(Queues[Target]->M);
+    Queued.fetch_add(1, std::memory_order_relaxed);
     Queues[Target]->Q.push_back(std::move(T));
   }
   {
@@ -120,6 +133,7 @@ bool ThreadPool::pop(Task &Out, int Self, TaskGroup *GroupOnly) {
 }
 
 void ThreadPool::runTask(Task &T) {
+  Queued.fetch_sub(1, std::memory_order_relaxed); // claimed by pop()
   // Drain: once a group has faulted, its remaining tasks are retired
   // without running — the query is already lost to Unknown(EngineFault),
   // so the fastest safe thing is to get the pool idle again.

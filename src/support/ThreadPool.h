@@ -47,21 +47,35 @@ public:
 
   unsigned workerCount() const { return static_cast<unsigned>(Queues.size()); }
 
-  /// True when at least one worker is parked with nothing to do — the
-  /// parallel searches use this as the "worth forking a subtree?" hint.
+  /// True when more workers are parked than there are queued tasks
+  /// nobody has claimed yet — the parallel searches use this as the
+  /// "worth forking a subtree?" hint. A woken worker stays counted as
+  /// idle until it runs, so counting the queued tasks against the parked
+  /// workers keeps a searcher from forking every sibling it visits while
+  /// the first wake-up is still in flight.
   bool hasIdleWorker() const {
-    return Idle.load(std::memory_order_relaxed) > 0;
+    return Idle.load(std::memory_order_relaxed) >
+           Queued.load(std::memory_order_relaxed);
   }
+
+  /// Index of the calling thread among this pool's workers, or -1 when
+  /// the caller is not one of them. Lets a search keep per-worker caches
+  /// that outlive the individual tasks it forks.
+  int currentIndex() const;
 
   /// Worker count used by ThreadPool() and the engines' Workers=0 default:
   /// the TRACESAFE_WORKERS environment variable when set and positive,
   /// otherwise std::thread::hardware_concurrency().
   static unsigned defaultWorkerCount();
 
-  /// Lazily constructed process-wide pool with defaultWorkerCount()
-  /// workers; shared by the engines so repeated queries do not pay thread
-  /// creation. Never destroyed before exit.
-  static ThreadPool &shared();
+  /// The process-wide pool with \p Workers threads (0 means
+  /// defaultWorkerCount()), created on the first request for that width
+  /// and shared by every later one, so a query with Workers = N does not
+  /// pay for creating and joining N threads. Never destroyed before exit.
+  static ThreadPool &ofWidth(unsigned Workers);
+
+  /// ofWidth(defaultWorkerCount()).
+  static ThreadPool &shared() { return ofWidth(0); }
 
   /// Fork/join scope. Spawned tasks may themselves spawn into the same
   /// group (recursive splitting); wait() returns once every task spawned
@@ -135,6 +149,7 @@ private:
   std::mutex SleepM;
   std::condition_variable SleepCv;
   std::atomic<unsigned> Idle{0};
+  std::atomic<unsigned> Queued{0}; ///< pushed, not yet claimed to run
   std::atomic<bool> Stopping{false};
 };
 

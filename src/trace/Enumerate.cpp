@@ -761,7 +761,7 @@ struct TaskCtx {
   CounterScope Visits;
   std::vector<uint64_t> Enc;    ///< state-encoding scratch
   std::vector<uint64_t> SigEnc; ///< sleep-signature scratch
-  TaskCtx(Budget *Shared, std::atomic<uint64_t> &Counter)
+  TaskCtx(Budget *Shared, BlockCounter &Counter)
       : Charge(Shared), Visits(Counter) {}
 };
 
@@ -773,13 +773,14 @@ public:
                bool RaceMode)
       : T(T), Limits(Limits), RaceMode(RaceMode),
         Parallel(Limits.Workers != 1),
-        Structs(Parallel ? 6 : 0, Limits.Shared),
-        Sigs(Parallel ? 6 : 0, Limits.Shared),
-        Forks(Limits.Workers ? Limits.Workers
-                             : ThreadPool::defaultWorkerCount()) {
+        Width(Limits.Workers ? Limits.Workers
+                             : ThreadPool::defaultWorkerCount()),
+        Structs(InternPool::shardBitsFor(Width), Limits.Shared),
+        Sigs(InternPool::shardBitsFor(Width), Limits.Shared),
+        Forks(Width) {
     if (Limits.SleepSets)
-      Memo = std::make_unique<SleepMemo>(Parallel ? 6 : 0, Sigs,
-                                         Limits.Shared);
+      Memo = std::make_unique<SleepMemo>(InternPool::shardBitsFor(Width),
+                                         Sigs, Limits.Shared);
     Tids = T.entryPoints();
     std::sort(Tids.begin(), Tids.end());
   }
@@ -806,7 +807,7 @@ public:
     } catch (...) {
       engineFault();
       std::lock_guard<std::mutex> Lock(ResM);
-      Stats.Visited = VisitedCount.load(std::memory_order_relaxed);
+      Stats.Visited = VisitedCount.value();
       return;
     }
     Root.Mem.assign(LocIds.size(), DefaultValue);
@@ -826,9 +827,7 @@ public:
         engineFault();
       }
     } else {
-      if (Limits.Workers > 1)
-        Owned = std::make_unique<ThreadPool>(Limits.Workers);
-      Pool = Owned ? Owned.get() : &ThreadPool::shared();
+      Pool = &ThreadPool::ofWidth(Limits.Workers);
       {
         ThreadPool::TaskGroup G(*Pool);
         Group = &G;
@@ -849,7 +848,7 @@ public:
       Group = nullptr;
     }
     std::lock_guard<std::mutex> Lock(ResM);
-    Stats.Visited = VisitedCount.load(std::memory_order_relaxed);
+    Stats.Visited = VisitedCount.value();
   }
 
   // Results (valid after run()).
@@ -1171,8 +1170,7 @@ private:
   void search(SoaState &N, TaskCtx &Ctx, unsigned Depth = 0) {
     if (StopFlag.load(std::memory_order_relaxed))
       return;
-    uint64_t V = Ctx.Visits.next();
-    if (V > Limits.MaxVisited) {
+    if (VisitedCount.rank(Ctx.Visits.next()) > Limits.MaxVisited) {
       truncate(TruncationReason::StateCap);
       return;
     }
@@ -1292,6 +1290,7 @@ private:
   EnumerationLimits Limits;
   bool RaceMode;
   bool Parallel;
+  unsigned Width; ///< pool width the search forks onto
   InternPool Structs; ///< trace trie nodes, events, states
   InternPool Sigs;    ///< sorted event-id sleep signatures
   IdTable<std::vector<Action>> SuccCache; ///< trie id -> successor actions
@@ -1301,10 +1300,9 @@ private:
   ForkPolicy Forks;                    ///< adaptive fork-depth controller
   std::unique_ptr<SleepMemo> Memo;
   std::vector<ThreadId> Tids;
-  std::unique_ptr<ThreadPool> Owned;
   ThreadPool *Pool = nullptr;
   ThreadPool::TaskGroup *Group = nullptr;
-  std::atomic<uint64_t> VisitedCount{0};
+  BlockCounter VisitedCount;
   std::atomic<bool> StopFlag{false};
   std::mutex ResM; ///< guards Behaviours, HasRace, Witness, Stats
 };
@@ -1328,9 +1326,7 @@ public:
   EnumerationStats run() {
     NodeState Root;
     Root.Traces.assign(Tids.size(), Trace());
-    if (Limits.Workers > 1)
-      Owned = std::make_unique<ThreadPool>(Limits.Workers);
-    Pool = Owned ? Owned.get() : &ThreadPool::shared();
+    Pool = &ThreadPool::ofWidth(Limits.Workers);
     {
       ThreadPool::TaskGroup G(*Pool);
       Group = &G;
@@ -1353,7 +1349,7 @@ public:
     }
     Group = nullptr;
     std::lock_guard<std::mutex> Lock(StatsM);
-    Stats.Visited = VisitedCount.load(std::memory_order_relaxed);
+    Stats.Visited = VisitedCount.value();
     return Stats;
   }
 
@@ -1366,8 +1362,7 @@ private:
   void search(NodeState &N, TaskCtx &Ctx, unsigned Depth = 0) {
     if (StopFlag.load(std::memory_order_relaxed))
       return;
-    uint64_t V = Ctx.Visits.next();
-    if (V > Limits.MaxVisited) {
+    if (VisitedCount.rank(Ctx.Visits.next()) > Limits.MaxVisited) {
       truncate(TruncationReason::StateCap);
       return;
     }
@@ -1424,10 +1419,9 @@ private:
   const std::function<bool(const Interleaving &)> &Visit;
   ForkPolicy Forks; ///< adaptive fork-depth controller
   std::vector<ThreadId> Tids;
-  std::unique_ptr<ThreadPool> Owned;
   ThreadPool *Pool = nullptr;
   ThreadPool::TaskGroup *Group = nullptr;
-  std::atomic<uint64_t> VisitedCount{0};
+  BlockCounter VisitedCount;
   std::atomic<bool> StopFlag{false};
   std::mutex VisitM;
   std::mutex StatsM;

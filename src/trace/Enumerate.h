@@ -49,8 +49,9 @@ struct EnumerationLimits {
   Budget *Shared = nullptr;
   /// Search workers: 1 = sequential in the calling thread; 0 = the shared
   /// work-stealing pool at its default width (TRACESAFE_WORKERS or
-  /// hardware concurrency); N > 1 = exactly N-wide forking on the shared
-  /// pool. Verdicts and behaviour sets are identical for every width.
+  /// hardware concurrency); N > 1 = exactly N-wide forking on the
+  /// process-wide pool of that width. Verdicts and behaviour sets are
+  /// identical for every width.
   unsigned Workers = 1;
   /// Sleep-set partial-order reduction for collectBehaviours and
   /// findAdjacentRace. Sound for both queries (see docs/PERFORMANCE.md);

@@ -230,13 +230,12 @@ struct CfgSteps {
   std::vector<std::pair<Value, CachedStep>> ByValue; ///< IsLoad steps
 };
 
-/// Per-task charging and scratch context (same shape as the SC engine's):
-/// visit counting and budget charging go through block reservations so
-/// the shared atomics stop being a contention point, and the encoding
-/// buffers are reused across the task's whole subtree.
-struct TaskCtx {
-  Budget::Scope Charge;
-  CounterScope Visits;
+/// Scratch buffers and caches of one search thread. A search keeps one
+/// per pool thread (plus one for the thread waiting on the group) for its
+/// whole run, so a forked task starts with the step tables and event ids
+/// its worker has already derived instead of re-deriving them. Only the
+/// thread it belongs to touches it, one task at a time.
+struct WorkerCache {
   std::vector<uint64_t> Enc, SigEnc;
   /// Direct-mapped (Hi, Lo) -> interned-id cache for event words. A
   /// subtree re-derives the same few dozen events at every node, so most
@@ -246,13 +245,20 @@ struct TaskCtx {
     uint64_t Hi = 0, Lo = 0;
     uint64_t IdPlus1 = 0; ///< 0 = empty
   };
-  std::vector<EvSlot> EvCache;
-  /// Per-task config-id -> step table (see CfgSteps). Task-local, so no
-  /// synchronisation: a worker derives at most one table per
-  /// configuration it ever sees.
+  std::vector<EvSlot> EvCache = std::vector<EvSlot>(256);
+  /// Config-id -> step table (see CfgSteps).
   std::vector<CfgSteps> Cfg;
-  TaskCtx(Budget *Shared, std::atomic<uint64_t> &Counter)
-      : Charge(Shared), Visits(Counter), EvCache(256) {}
+};
+
+/// Per-task charging context: visit counting and budget charging go
+/// through block reservations so the shared atomics stop being a
+/// contention point.
+struct TaskCtx {
+  Budget::Scope Charge;
+  CounterScope Visits;
+  WorkerCache &W;
+  TaskCtx(Budget *Shared, BlockCounter &Counter, WorkerCache &W)
+      : Charge(Shared), Visits(Counter), W(W) {}
 };
 
 class BufferedSearch {
@@ -267,14 +273,14 @@ public:
             1, std::min(Limits.MaxBufferedStores,
                         Limits.MaxActionsPerThread))),
         Parallel(Limits.Workers != 1),
-        Structs(Parallel ? 6 : 0, Limits.Shared),
-        Sigs(Parallel ? 6 : 0, Limits.Shared),
-        Configs(Limits.Shared),
-        Forks(Limits.Workers ? Limits.Workers
-                             : ThreadPool::defaultWorkerCount()) {
+        Width(Limits.Workers ? Limits.Workers
+                             : ThreadPool::defaultWorkerCount()),
+        Structs(InternPool::shardBitsFor(Width), Limits.Shared),
+        Sigs(InternPool::shardBitsFor(Width), Limits.Shared),
+        Configs(Limits.Shared), Forks(Width) {
     if (Limits.UseReduction)
-      Memo = std::make_unique<SleepMemo>(Parallel ? 6 : 0, Sigs,
-                                         Limits.Shared);
+      Memo = std::make_unique<SleepMemo>(InternPool::shardBitsFor(Width),
+                                         Sigs, Limits.Shared);
   }
 
   std::set<Behaviour> run() {
@@ -309,21 +315,21 @@ public:
       // Sequential engine: an allocation failure (real or injected)
       // inside the pools unwinds to here and becomes a truncated result.
       try {
-        TaskCtx RootCtx(Limits.Shared, VisitedCount);
+        Caches.resize(1);
+        TaskCtx RootCtx(Limits.Shared, VisitedCount, cache());
         search(Root, RootCtx, 0);
       } catch (...) {
         engineFault();
       }
     } else {
-      if (Limits.Workers > 1)
-        Owned = std::make_unique<ThreadPool>(Limits.Workers);
-      Pool = Owned ? Owned.get() : &ThreadPool::shared();
+      Pool = &ThreadPool::ofWidth(Limits.Workers);
+      Caches.resize(Pool->workerCount() + 1);
       {
         ThreadPool::TaskGroup G(*Pool);
         Group = &G;
         auto R = std::make_shared<BufNode>(std::move(Root));
         G.spawn([this, R] {
-          TaskCtx RootCtx(Limits.Shared, VisitedCount);
+          TaskCtx RootCtx(Limits.Shared, VisitedCount, cache());
           search(*R, RootCtx, 0);
         });
         G.wait();
@@ -343,9 +349,19 @@ public:
   ExecStats Stats;
 
 private:
+  /// The calling thread's cache: slot 0 for the sequential search and
+  /// for the thread waiting on the group, slot I + 1 for pool worker I.
+  WorkerCache &cache() {
+    std::unique_ptr<WorkerCache> &C =
+        Caches[Pool ? static_cast<size_t>(Pool->currentIndex() + 1) : 0];
+    if (!C)
+      C = std::make_unique<WorkerCache>();
+    return *C;
+  }
+
   void finishStats() {
     std::lock_guard<std::mutex> Lock(ResM);
-    Stats.Visited = VisitedCount.load(std::memory_order_relaxed);
+    Stats.Visited = VisitedCount.value();
   }
 
   void truncate(TruncationReason R) {
@@ -474,10 +490,10 @@ private:
   }
 
   /// The step table for configuration \p C, built on first use.
-  CfgSteps &cfgSteps(TaskCtx &TC, uint32_t C) {
-    if (C >= TC.Cfg.size())
-      TC.Cfg.resize(std::max<size_t>(C + 1, TC.Cfg.size() * 2));
-    CfgSteps &E = TC.Cfg[C];
+  CfgSteps &cfgSteps(WorkerCache &W, uint32_t C) {
+    if (C >= W.Cfg.size())
+      W.Cfg.resize(std::max<size_t>(C + 1, W.Cfg.size() * 2));
+    CfgSteps &E = W.Cfg[C];
     if (E.Known)
       return E;
     const ThreadState &S = Configs.state(C);
@@ -573,7 +589,7 @@ private:
       }
     }
     for (ThreadId Tid = 0; Tid < NT; ++Tid) {
-      CfgSteps &E = cfgSteps(TC, N.ConfigIdv[Tid]);
+      CfgSteps &E = cfgSteps(TC.W, N.ConfigIdv[Tid]);
       if (E.Done)
         continue;
       if (N.ActionsDone[Tid] >= Limits.MaxActionsPerThread) {
@@ -814,7 +830,7 @@ private:
     size_t Slot = ((Hi * 0x9E3779B97F4A7C15ULL) ^
                    (Lo * 0xC2B2AE3D27D4EB4FULL)) >>
                   56; // EvCache holds 256 slots
-    TaskCtx::EvSlot &E = TC.EvCache[Slot];
+    WorkerCache::EvSlot &E = TC.W.EvCache[Slot];
     if (E.IdPlus1 && E.Hi == Hi && E.Lo == Lo)
       return static_cast<uint32_t>(E.IdPlus1 - 1);
     uint64_t W[2] = {Hi, Lo};
@@ -826,8 +842,7 @@ private:
   void search(BufNode &N, TaskCtx &TC, unsigned Depth) {
     if (StopFlag.load(std::memory_order_relaxed))
       return;
-    uint64_t V = TC.Visits.next();
-    if (V > Limits.MaxVisited) {
+    if (VisitedCount.rank(TC.Visits.next()) > Limits.MaxVisited) {
       truncate(TruncationReason::StateCap);
       return;
     }
@@ -836,15 +851,16 @@ private:
       return;
     }
     // Intern the state; prune revisits (subset rule under POR).
-    encodeState(N, TC.Enc);
+    WorkerCache &W = TC.W;
+    encodeState(N, W.Enc);
     faultThrowBadAlloc(FaultSite::BufferedIntern);
-    InternPool::Result State = Structs.intern(TC.Enc.data(), TC.Enc.size());
+    InternPool::Result State = Structs.intern(W.Enc.data(), W.Enc.size());
     if (Memo) {
-      TC.SigEnc.clear();
+      W.SigEnc.clear();
       for (const SleepElem &S : N.Sleep)
-        TC.SigEnc.push_back(S.Id);
-      InternPool::Result Sig = Sigs.intern(TC.SigEnc.data(),
-                                           TC.SigEnc.size());
+        W.SigEnc.push_back(S.Id);
+      InternPool::Result Sig = Sigs.intern(W.SigEnc.data(),
+                                           W.SigEnc.size());
       if (!Memo->shouldExplore(State.Id, Sig.Id))
         return;
     } else if (!State.Inserted) {
@@ -890,7 +906,7 @@ private:
         Child->Sleep = std::move(ChildSleep);
         applyTo(*Child, T);
         Group->spawn([this, Child, Depth] {
-          TaskCtx ChildCtx(Limits.Shared, VisitedCount);
+          TaskCtx ChildCtx(Limits.Shared, VisitedCount, cache());
           search(*Child, ChildCtx, Depth + 1);
         });
       } else {
@@ -920,15 +936,16 @@ private:
   BufferModel Model;
   size_t Cap; ///< per-thread buffer stride (see BufNode doc)
   bool Parallel;
+  unsigned Width; ///< pool width the search forks onto
   InternPool Structs; ///< states and event ids
   InternPool Sigs;    ///< sorted event-id sleep signatures
   ConfigIds Configs;
   ForkPolicy Forks;
   std::unique_ptr<SleepMemo> Memo;
-  std::unique_ptr<ThreadPool> Owned;
   ThreadPool *Pool = nullptr;
   ThreadPool::TaskGroup *Group = nullptr;
-  std::atomic<uint64_t> VisitedCount{0};
+  std::vector<std::unique_ptr<WorkerCache>> Caches; ///< see cache()
+  BlockCounter VisitedCount;
   std::atomic<bool> StopFlag{false};
   std::mutex ResM; ///< guards Behaviours and Stats
   std::set<Behaviour> Behaviours;

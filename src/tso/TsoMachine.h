@@ -39,8 +39,9 @@ struct TsoLimits {
   uint64_t MaxVisited = 50'000'000;
   /// Search workers: 1 = sequential in the calling thread; 0 = the shared
   /// work-stealing pool at its default width (TRACESAFE_WORKERS or
-  /// hardware concurrency); N > 1 = exactly N-wide forking on an owned
-  /// pool. Behaviour sets are identical for every width.
+  /// hardware concurrency); N > 1 = exactly N-wide forking on the
+  /// process-wide pool of that width. Behaviour sets are identical for
+  /// every width.
   unsigned Workers = 1;
   /// Sleep-set partial-order reduction over store-buffer transitions
   /// (see tso/BufferedEngine.cpp for the independence relation). Sound:

@@ -175,7 +175,7 @@ TEST(CounterScope, IndicesAreUniqueAndExactAtQuiescence) {
   // next() hands out 1-based global indices from reserved blocks; across
   // concurrent scopes they must never collide, and once every scope has
   // settled the counter equals the number of indices consumed.
-  std::atomic<uint64_t> Counter{0};
+  BlockCounter Counter;
   constexpr int Threads = 4;
   constexpr uint64_t PerThread = 500;
   std::vector<std::vector<uint64_t>> Seen(Threads);
@@ -190,13 +190,60 @@ TEST(CounterScope, IndicesAreUniqueAndExactAtQuiescence) {
     for (auto &T : Ts)
       T.join();
   }
-  EXPECT_EQ(Counter.load(), Threads * PerThread);
+  EXPECT_EQ(Counter.value(), Threads * PerThread);
   std::set<uint64_t> All;
   for (const auto &V : Seen)
     for (uint64_t I : V) {
       EXPECT_GE(I, 1u);
       EXPECT_TRUE(All.insert(I).second) << "index " << I << " duplicated";
     }
+}
+
+TEST(CounterScope, IndicesStayUniqueWhenScopesSettleMidRun) {
+  // Short-lived scopes, as the engines' forked tasks hold them: each
+  // thread settles after a few indices (never a whole block) while the
+  // other threads keep reserving. A returned tail must not be handed out
+  // again once a later block exists, and the count stays exact.
+  BlockCounter Counter;
+  constexpr int Threads = 4;
+  constexpr uint64_t PerThread = 2000;
+  std::vector<std::vector<uint64_t>> Seen(Threads);
+  {
+    std::vector<std::thread> Ts;
+    for (int T = 0; T < Threads; ++T)
+      Ts.emplace_back([&Counter, &Seen, T] {
+        uint64_t Left = PerThread;
+        for (uint64_t Run = 1; Left > 0; Run = Run % 23 + 1) {
+          CounterScope S(Counter);
+          for (uint64_t I = 0; I < Run && Left > 0; ++I, --Left)
+            Seen[T].push_back(S.next());
+        }
+      });
+    for (auto &T : Ts)
+      T.join();
+  }
+  EXPECT_EQ(Counter.value(), Threads * PerThread);
+  std::set<uint64_t> All;
+  for (const auto &V : Seen)
+    for (uint64_t I : V)
+      EXPECT_TRUE(All.insert(I).second) << "index " << I << " duplicated";
+}
+
+TEST(BudgetScope, SettledTailsDoNotUseUpTheStateCap) {
+  // One scope at a time: each returns its unused tail before the next
+  // reserves, so the cap counts charges, not reserved blocks.
+  BudgetSpec Spec;
+  Spec.MaxVisited = 100;
+  Budget B(Spec);
+  for (int I = 0; I < 10; ++I) {
+    Budget::Scope S(&B);
+    for (int K = 0; K < 10; ++K)
+      ASSERT_TRUE(S.charge()) << "scope " << I << " charge " << K;
+  }
+  EXPECT_EQ(B.visited(), 100u);
+  Budget::Scope S(&B);
+  EXPECT_FALSE(S.charge());
+  EXPECT_EQ(B.reason(), TruncationReason::StateCap);
 }
 
 TEST(Verdict, Helpers) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -82,6 +83,49 @@ TEST(InternPool, ViewStaysValidAcrossGrowth) {
   EXPECT_EQ(After, Before) << "arena chunks must never move";
   ASSERT_EQ(Len, 1u);
   EXPECT_EQ(After[0], 0xABCDEFu);
+}
+
+TEST(InternPool, OversizeSpanThenSmallSpans) {
+  // A span longer than any arena chunk gets a chunk of its own; the spans
+  // after it must land in fresh storage, not past the end of that chunk.
+  InternPool P;
+  std::vector<uint64_t> Big(9'000);
+  for (size_t I = 0; I < Big.size(); ++I)
+    Big[I] = I * 0x9E3779B97F4A7C15ULL;
+  uint32_t BigId = P.intern(Big.data(), Big.size()).Id;
+  std::vector<std::vector<uint64_t>> Small;
+  std::vector<uint32_t> SmallIds;
+  for (uint64_t K = 0; K < 3'000; ++K) {
+    Small.push_back({K, K + 1, K + 2, K + 3});
+    SmallIds.push_back(P.intern(Small.back().data(), 4).Id);
+  }
+  auto [BigPtr, BigLen] = P.view(BigId);
+  ASSERT_EQ(BigLen, Big.size());
+  EXPECT_TRUE(std::equal(Big.begin(), Big.end(), BigPtr));
+  for (size_t K = 0; K < Small.size(); ++K) {
+    auto [Ptr, Len] = P.view(SmallIds[K]);
+    ASSERT_EQ(Len, 4u);
+    EXPECT_TRUE(std::equal(Small[K].begin(), Small[K].end(), Ptr)) << K;
+  }
+}
+
+TEST(InternPool, AlternatingPoolsKeepTheirIds) {
+  // The engines intern into two pools in turn on every state; the
+  // thread-local front cache is shared by both and must never hand one
+  // pool's id to the other.
+  InternPool A, B;
+  for (int Round = 0; Round < 3; ++Round)
+    for (uint64_t I = 0; I < 500; ++I) {
+      uint64_t W[] = {I, I * 5};
+      InternPool::Result Ra = A.intern(W, 2);
+      InternPool::Result Rb = B.intern(W, 2);
+      EXPECT_EQ(Ra.Inserted, Round == 0);
+      EXPECT_EQ(Rb.Inserted, Round == 0);
+      EXPECT_EQ(A.view(Ra.Id).first[1], I * 5);
+      EXPECT_EQ(B.view(Rb.Id).first[1], I * 5);
+    }
+  EXPECT_EQ(A.size(), 500u);
+  EXPECT_EQ(B.size(), 500u);
 }
 
 TEST(InternPool, ChargesRealBytesToBudget) {

@@ -21,9 +21,10 @@
 ///
 /// Exit codes:
 ///   0    clean shutdown (never happens without a Stop source today)
-///   1    fatal startup error (socket, EADDRINUSE, journal)
+///   1    fatal startup error (socket, EADDRINUSE, a journal or cache
+///        file of another format)
 ///   2    usage error
-///   130  SIGINT/SIGTERM — journal flushed, in-flight queries cancelled
+///   130  SIGINT/SIGTERM — in-flight queries cancelled
 ///        (their records stay orphaned, so --resume recomputes them)
 ///
 //===----------------------------------------------------------------------===//
@@ -49,7 +50,8 @@ void usage(const char *Argv0) {
       "  --socket PATH          unix-domain socket to listen on\n"
       "  --listen HOST:PORT     TCP listener (port 0 = ephemeral; the\n"
       "                         bound port is printed to stderr)\n"
-      "  --journal PATH         crash-recovery journal (A/V records)\n"
+      "  --journal PATH         crash-recovery journal (A/V records),\n"
+      "                         started afresh unless --resume\n"
       "  --resume               replay the journal before serving\n"
       "  --cache-file PATH      persistent verdict cache (TSCS store):\n"
       "                         loaded on startup, fresh verdicts spilled\n"

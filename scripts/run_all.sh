@@ -73,10 +73,17 @@ cmake --build build-asan --target fuzz_harness test_budget test_shrink \
 # port (see docs/PROTOCOL.md and docs/ROBUSTNESS.md).
 echo "===== sanitizer daemon smoke ====="
 cmake --build build-asan --target test_protocol test_daemon \
-  test_daemon_chaos tracesafed fuzz_harness
+  test_daemon_chaos test_record_log test_cache_store test_resume \
+  tracesafed fuzz_harness
 ./build-asan/tests/test_protocol
 ./build-asan/tests/test_daemon
 ./build-asan/tests/test_daemon_chaos
+# The persistence formats on RecordLog: the corruption matrix over the
+# cache store, the daemon journal and the fuzz checkpoint, then each
+# format's own suite.
+./build-asan/tests/test_record_log
+./build-asan/tests/test_cache_store
+./build-asan/tests/test_resume
 
 # End-to-end TCP campaign smoke: a real tracesafed bound to an ephemeral
 # loopback port (port 0; the kernel picks, the daemon announces it on

@@ -11,28 +11,7 @@
 using namespace tracesafe;
 using namespace tracesafe::daemon;
 
-//===----------------------------------------------------------------------===//
-// CRC32
-//===----------------------------------------------------------------------===//
-
 namespace {
-
-struct Crc32Table {
-  uint32_t T[256];
-  Crc32Table() {
-    for (uint32_t I = 0; I < 256; ++I) {
-      uint32_t C = I;
-      for (int K = 0; K < 8; ++K)
-        C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
-    }
-  }
-};
-
-const Crc32Table &crcTable() {
-  static Crc32Table Table;
-  return Table;
-}
 
 void putU16(std::string &Out, uint16_t V) {
   Out.push_back(static_cast<char>(V & 0xFF));
@@ -60,15 +39,6 @@ uint64_t getU64(const unsigned char *P) {
 }
 
 } // namespace
-
-uint32_t daemon::crc32(const void *Data, size_t Len) {
-  const Crc32Table &Table = crcTable();
-  const auto *P = static_cast<const unsigned char *>(Data);
-  uint32_t C = 0xFFFFFFFFu;
-  for (size_t I = 0; I < Len; ++I)
-    C = Table.T[(C ^ P[I]) & 0xFF] ^ (C >> 8);
-  return C ^ 0xFFFFFFFFu;
-}
 
 //===----------------------------------------------------------------------===//
 // Frame codec
@@ -137,52 +107,6 @@ DecodeStatus daemon::decodeFrame(std::string &Buf, Frame &Out) {
   Out.Payload.assign(Buf, FrameHeaderSize, Len);
   Buf.erase(0, FrameHeaderSize + Len);
   return DecodeStatus::Ok;
-}
-
-//===----------------------------------------------------------------------===//
-// Payload primitives
-//===----------------------------------------------------------------------===//
-
-void daemon::putU8(std::string &Out, uint8_t V) {
-  Out.push_back(static_cast<char>(V));
-}
-
-void daemon::putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-
-void daemon::putStr(std::string &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out += S;
-}
-
-bool PayloadReader::u8(uint8_t &V) {
-  if (!Ok || Pos + 1 > Buf.size())
-    return Ok = false;
-  V = static_cast<uint8_t>(Buf[Pos++]);
-  return true;
-}
-
-bool PayloadReader::u64(uint64_t &V) {
-  if (!Ok || Pos + 8 > Buf.size())
-    return Ok = false;
-  V = getU64(reinterpret_cast<const unsigned char *>(Buf.data()) + Pos);
-  Pos += 8;
-  return true;
-}
-
-bool PayloadReader::str(std::string &V) {
-  if (!Ok || Pos + 4 > Buf.size())
-    return Ok = false;
-  uint32_t Len =
-      getU32(reinterpret_cast<const unsigned char *>(Buf.data()) + Pos);
-  Pos += 4;
-  if (Len > MaxFramePayload || Pos + Len > Buf.size())
-    return Ok = false;
-  V.assign(Buf, Pos, Len);
-  Pos += Len;
-  return true;
 }
 
 //===----------------------------------------------------------------------===//

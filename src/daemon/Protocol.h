@@ -34,6 +34,7 @@
 #define TRACESAFE_DAEMON_PROTOCOL_H
 
 #include "support/Budget.h"
+#include "support/RecordLog.h"
 
 #include <cstdint>
 #include <stdexcept>
@@ -79,9 +80,6 @@ struct Frame {
   std::string Payload;
 };
 
-/// CRC32 (reflected, polynomial 0xEDB88320 — the zlib/PNG polynomial).
-uint32_t crc32(const void *Data, size_t Len);
-
 /// Serialises header + payload.
 std::string encodeFrame(const Frame &F);
 
@@ -102,31 +100,6 @@ const char *decodeStatusName(DecodeStatus S);
 /// kept). Any Bad* status means the stream is unrecoverably corrupt: the
 /// connection must be dropped, not resynchronised.
 DecodeStatus decodeFrame(std::string &Buf, Frame &Out);
-
-//===----------------------------------------------------------------------===//
-// Payload primitives (little-endian u8/u64, u32-length-prefixed strings)
-//===----------------------------------------------------------------------===//
-
-void putU8(std::string &Out, uint8_t V);
-void putU64(std::string &Out, uint64_t V);
-void putStr(std::string &Out, const std::string &S);
-
-/// Bounds-checked cursor over a payload; every getter returns false once
-/// the payload is exhausted or malformed (and stays false).
-class PayloadReader {
-public:
-  explicit PayloadReader(const std::string &Buf) : Buf(Buf) {}
-  bool u8(uint8_t &V);
-  bool u64(uint64_t &V);
-  bool str(std::string &V);
-  /// True iff every byte was consumed and no getter failed.
-  bool done() const { return Ok && Pos == Buf.size(); }
-
-private:
-  const std::string &Buf;
-  size_t Pos = 0;
-  bool Ok = true;
-};
 
 //===----------------------------------------------------------------------===//
 // Query model

@@ -20,11 +20,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -411,200 +409,68 @@ QueryResponse daemon::evaluateQuery(const QueryRequest &Q,
 }
 
 //===----------------------------------------------------------------------===//
-// Journal (same line/tab format family as the fuzz campaign journal:
-// append-only, whole records flushed under one lock, torn tails ignored
-// by the loader)
+// Journal: a RecordLog of admission (A) and verdict (V) records that reuse
+// the wire codec for the query and the response
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::string escField(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      Out += C;
-    }
-  }
-  return Out;
-}
-
-std::string unescField(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (size_t I = 0; I < S.size(); ++I) {
-    if (S[I] != '\\' || I + 1 >= S.size()) {
-      Out += S[I];
-      continue;
-    }
-    switch (S[++I]) {
-    case '\\':
-      Out += '\\';
-      break;
-    case 't':
-      Out += '\t';
-      break;
-    case 'n':
-      Out += '\n';
-      break;
-    default: // Unknown escape: keep both chars (forward compatibility).
-      Out += '\\';
-      Out += S[I];
-    }
-  }
-  return Out;
-}
-
-std::vector<std::string> splitTabs(const std::string &Line) {
-  std::vector<std::string> Out;
-  size_t Begin = 0;
-  while (true) {
-    size_t Tab = Line.find('\t', Begin);
-    if (Tab == std::string::npos) {
-      Out.push_back(Line.substr(Begin));
-      return Out;
-    }
-    Out.push_back(Line.substr(Begin, Tab - Begin));
-    Begin = Tab + 1;
-  }
-}
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(S.c_str(), &End, 10);
-  return End == S.c_str() + S.size();
-}
-
-constexpr uint64_t JournalVersion = 1;
-
-/// One client request as the journal sees it: the admission record and,
-/// once computed, the verdict.
-struct JournalEntry {
-  std::string Client;
-  uint64_t Id = 0;
-  QueryRequest Q;
-  QueryResponse Resp;
-  bool Done = false;
-};
 
 std::string requestKey(const std::string &Client, uint64_t Id) {
   return Client + '\0' + std::to_string(Id);
 }
 
-/// A records grew two scheduling fields (class, priority) in PR 9; the
-/// loader below still accepts the 9-field v1 layout so a pre-upgrade
-/// journal resumes cleanly with default scheduling.
-void writeAdmitLine(std::ostream &Os, const JournalEntry &E) {
-  Os << "A\t" << escField(E.Client) << '\t' << E.Id << '\t'
-     << static_cast<unsigned>(E.Q.Kind) << '\t' << E.Q.Budget.DeadlineMs
-     << '\t' << E.Q.Budget.MaxVisited << '\t' << E.Q.Budget.MaxMemoryBytes
-     << '\t' << escField(E.Q.Program) << '\t' << escField(E.Q.Transformed)
-     << '\t' << static_cast<unsigned>(E.Q.Class) << '\t'
-     << static_cast<unsigned>(E.Q.Priority) << '\n';
-}
-
-void writeVerdictLine(std::ostream &Os, const JournalEntry &E) {
-  Os << "V\t" << escField(E.Client) << '\t' << E.Id << '\t'
-     << static_cast<unsigned>(E.Resp.Status) << '\t'
-     << static_cast<unsigned>(E.Resp.Kind) << '\t'
-     << static_cast<unsigned>(E.Resp.Reason) << '\t'
-     << (E.Resp.Degraded ? 1 : 0) << '\t' << E.Resp.Visited << '\t'
-     << escField(E.Resp.Detail) << '\n';
-}
-
-/// Loads a daemon journal, tolerating a torn tail and unknown record
-/// types: a crashed daemon's journal is, by construction, a valid prefix
-/// plus at most one torn line.
-std::vector<JournalEntry> loadDaemonJournal(const std::string &Path) {
-  std::vector<JournalEntry> Out;
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Out;
-  std::stringstream Ss;
-  Ss << In.rdbuf();
-  std::string All = Ss.str();
-  std::unordered_map<std::string, size_t> Index;
-  size_t Begin = 0;
-  while (Begin < All.size()) {
-    size_t End = All.find('\n', Begin);
-    if (End == std::string::npos)
-      break; // torn tail: no terminating newline, ignore
-    std::string Line = All.substr(Begin, End - Begin);
-    Begin = End + 1;
-    std::vector<std::string> T = splitTabs(Line);
-    if (T.empty())
-      continue;
-    if (T[0] == "A" && (T.size() == 9 || T.size() == 11)) {
-      JournalEntry E;
-      E.Client = unescField(T[1]);
-      uint64_t Kind = 0, Deadline = 0;
-      if (!parseU64(T[2], E.Id) || !parseU64(T[3], Kind) ||
-          !parseU64(T[4], Deadline) ||
-          !parseU64(T[5], E.Q.Budget.MaxVisited) ||
-          !parseU64(T[6], E.Q.Budget.MaxMemoryBytes))
-        continue;
-      if (Kind < static_cast<uint64_t>(QueryKind::ProgramDrf) ||
-          Kind > static_cast<uint64_t>(QueryKind::Campaign))
-        continue;
-      E.Q.Kind = static_cast<QueryKind>(Kind);
-      E.Q.Budget.DeadlineMs = static_cast<int64_t>(Deadline);
-      E.Q.Program = unescField(T[7]);
-      E.Q.Transformed = unescField(T[8]);
-      if (T.size() == 11) {
-        uint64_t Class = 0, Priority = 0;
-        if (!parseU64(T[9], Class) || !parseU64(T[10], Priority) ||
-            Class > static_cast<uint64_t>(ClientClass::Batch) ||
-            Priority > 255)
-          continue;
-        E.Q.Class = static_cast<ClientClass>(Class);
-        E.Q.Priority = static_cast<uint8_t>(Priority);
-      }
-      std::string Key = requestKey(E.Client, E.Id);
-      if (Index.count(Key))
-        continue; // duplicate admission: first one wins
-      Index[Key] = Out.size();
-      Out.push_back(std::move(E));
-    } else if (T[0] == "V" && T.size() == 9) {
-      std::string Client = unescField(T[1]);
-      uint64_t Id = 0, Status = 0, Kind = 0, Reason = 0, Degraded = 0,
-               Visited = 0;
-      if (!parseU64(T[2], Id) || !parseU64(T[3], Status) ||
-          !parseU64(T[4], Kind) || !parseU64(T[5], Reason) ||
-          !parseU64(T[6], Degraded) || !parseU64(T[7], Visited))
-        continue;
-      auto It = Index.find(requestKey(Client, Id));
-      if (It == Index.end())
-        continue; // verdict without admission: ignore
-      JournalEntry &E = Out[It->second];
-      if (Status < static_cast<uint64_t>(ResponseStatus::Ok) ||
-          Status > static_cast<uint64_t>(ResponseStatus::Error) ||
-          Kind > static_cast<uint64_t>(VerdictKind::Unknown) ||
-          Reason > static_cast<uint64_t>(TruncationReason::EngineFault))
-        continue;
-      E.Resp.Status = static_cast<ResponseStatus>(Status);
-      E.Resp.Kind = static_cast<VerdictKind>(Kind);
-      E.Resp.Reason = static_cast<TruncationReason>(Reason);
-      E.Resp.Degraded = Degraded != 0;
-      E.Resp.Visited = Visited;
-      E.Resp.Detail = unescField(T[8]);
-      E.Done = true;
-    }
-    // "H" headers and unknown types: skipped (forward compatibility).
-  }
+std::string admitRecord(const std::string &Client, uint64_t Id,
+                        const QueryRequest &Q) {
+  std::string Out;
+  putU8(Out, 'A');
+  putStr(Out, Client);
+  putU64(Out, Id);
+  putU8(Out, ProtocolVersion);
+  putStr(Out, encodeSubmit(Q, ProtocolVersion));
   return Out;
 }
+
+std::string verdictRecord(const std::string &Client, uint64_t Id,
+                          const QueryResponse &R) {
+  std::string Out;
+  putU8(Out, 'V');
+  putStr(Out, Client);
+  putU64(Out, Id);
+  putStr(Out, encodeResponse(R));
+  return Out;
+}
+
+} // namespace
+
+RecordLogInfo daemon::loadJournal(const std::string &Path,
+                                  std::vector<JournalEntry> &Out) {
+  std::unordered_map<std::string, size_t> Index;
+  return RecordLog::load(Path, JournalFormat, [&](std::string_view P) {
+    PayloadReader R(P);
+    uint8_t Tag = 0, Version = 0;
+    JournalEntry E;
+    std::string Body;
+    if (!R.u8(Tag) || !R.str(E.Client) || !R.u64(E.Id))
+      return;
+    std::string Key = requestKey(E.Client, E.Id);
+    auto It = Index.find(Key);
+    if (Tag == 'A' && It == Index.end()) { // first admission wins
+      if (!R.u8(Version) || !R.str(Body) || !R.done() ||
+          Version < MinProtocolVersion || Version > ProtocolVersion ||
+          !decodeSubmit(Body, E.Q, Version))
+        return;
+      Index.emplace(std::move(Key), Out.size());
+      Out.push_back(std::move(E));
+    } else if (Tag == 'V' && It != Index.end()) {
+      if (!R.str(Body) || !R.done() || !decodeResponse(Body, E.Resp))
+        return;
+      Out[It->second].Resp = std::move(E.Resp);
+      Out[It->second].Done = true;
+    }
+  });
+}
+
+namespace {
 
 //===----------------------------------------------------------------------===//
 // Connections: bounded outbound queue + dedicated writer thread
@@ -779,25 +645,13 @@ private:
   }
 
   void journalAdmitLocked(const Request &R) {
-    if (!Journal.is_open())
-      return;
-    JournalEntry E;
-    E.Client = R.Client;
-    E.Id = R.Id;
-    E.Q = R.Q;
-    writeAdmitLine(Journal, E);
-    Journal.flush();
+    if (Journal.isOpen())
+      Journal.append(admitRecord(R.Client, R.Id, R.Q));
   }
 
   void journalVerdictLocked(const Request &R) {
-    if (!Journal.is_open())
-      return;
-    JournalEntry E;
-    E.Client = R.Client;
-    E.Id = R.Id;
-    E.Resp = R.Resp;
-    writeVerdictLine(Journal, E);
-    Journal.flush();
+    if (Journal.isOpen())
+      Journal.append(verdictRecord(R.Client, R.Id, R.Resp));
   }
 
   //===--------------------------------------------------------------------===//
@@ -1393,7 +1247,7 @@ private:
   unsigned DispatchCapEff = 1;
   bool ShuttingDown = false;
   std::atomic<uint64_t> Tick{0}; ///< ~100ms health ticks since startup
-  std::ofstream Journal;
+  RecordLog Journal{JournalFormat};
   ThreadPool::TaskGroup *Group = nullptr;
 };
 
@@ -1439,21 +1293,26 @@ int Server::run() {
   } SinkCleanup;
 
   // Durability first: replay the journal before accepting traffic, so a
-  // reconnecting client's retries hit stored verdicts, and compact it
-  // (completed entries keep their verdicts; orphans keep only their
-  // admission and are recomputed below).
+  // reconnecting client's retries hit stored verdicts. Either way the
+  // journal is replaced by a fresh log (RecordLog::rewrite): empty on a
+  // fresh start, so no earlier run's verdicts can be replayed later, and
+  // compacted on a resume (completed entries keep their verdicts; orphans
+  // keep only their admission and are recomputed below).
   std::vector<ReqPtr> Orphans;
   if (!Opts.JournalPath.empty()) {
+    std::vector<std::string> Kept;
     if (Opts.Resume) {
-      std::vector<JournalEntry> Entries =
-          loadDaemonJournal(Opts.JournalPath);
-      std::ofstream Compact(Opts.JournalPath + ".tmp",
-                            std::ios::binary | std::ios::trunc);
-      Compact << "H\t" << JournalVersion << "\ttracesafed\n";
+      std::vector<JournalEntry> Entries;
+      RecordLogInfo Info = loadJournal(Opts.JournalPath, Entries);
+      if (!Info.HeaderOk) {
+        std::cerr << "tracesafed: journal " << Opts.JournalPath << ": "
+                  << Info.Error << "\n";
+        return 1;
+      }
       for (JournalEntry &E : Entries) {
-        writeAdmitLine(Compact, E);
+        Kept.push_back(admitRecord(E.Client, E.Id, E.Q));
         if (E.Done)
-          writeVerdictLine(Compact, E);
+          Kept.push_back(verdictRecord(E.Client, E.Id, E.Resp));
         auto Req = std::make_shared<Request>();
         Req->Client = E.Client;
         Req->Id = E.Id;
@@ -1464,31 +1323,13 @@ int Server::run() {
         if (!Req->Done)
           Orphans.push_back(std::move(Req));
       }
-      Compact.flush();
-      if (!Compact) {
-        std::cerr << "tracesafed: cannot rewrite journal "
-                  << Opts.JournalPath << "\n";
-        return 1;
-      }
-      Compact.close();
-      if (std::rename((Opts.JournalPath + ".tmp").c_str(),
-                      Opts.JournalPath.c_str()) != 0) {
-        std::cerr << "tracesafed: cannot replace journal "
-                  << Opts.JournalPath << "\n";
-        return 1;
-      }
       log("resumed " + std::to_string(Requests.size()) + " entries, " +
           std::to_string(Orphans.size()) + " orphans to recompute");
     }
-    Journal.open(Opts.JournalPath, std::ios::binary | std::ios::app);
-    if (!Journal) {
-      std::cerr << "tracesafed: cannot open journal " << Opts.JournalPath
-                << "\n";
+    std::string Err;
+    if (!Journal.rewrite(Opts.JournalPath, Kept, Err)) {
+      std::cerr << "tracesafed: journal " << Err << "\n";
       return 1;
-    }
-    if (!Opts.Resume) {
-      Journal << "H\t" << JournalVersion << "\ttracesafed\n";
-      Journal.flush();
     }
   }
 
@@ -1682,8 +1523,6 @@ int Server::run() {
   }
   for (std::thread &T : Readers)
     T.join();
-  if (Journal.is_open())
-    Journal.flush();
   log("clean shutdown: " + std::to_string(Stats.Completed) +
       " completed, " + std::to_string(Stats.Overloaded) + " shed");
   return 0;

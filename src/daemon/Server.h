@@ -27,7 +27,9 @@
 ///
 ///  - *Durability.* With a journal configured, each admitted request is
 ///    appended (A record) before it is scheduled and its verdict (V
-///    record) when it completes, both flushed. `--resume` replays the
+///    record) when it completes, each in one write(2), so both survive a
+///    `kill -9` (not an OS crash: appends are not fsynced). A fresh start
+///    replaces the journal with an empty one. `--resume` replays the
 ///    journal: completed verdicts are served from the journal without
 ///    recomputation (and without re-charging any quota) and admitted-but-
 ///    unfinished requests are recomputed, so a `kill -9` mid-batch
@@ -59,6 +61,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 namespace tracesafe {
 namespace daemon {
@@ -73,7 +76,8 @@ struct ServerOptions {
   /// When non-null, receives the TCP port actually bound (for tests and
   /// ephemeral-port runs) before the first accept.
   std::atomic<uint16_t> *BoundTcpPort = nullptr;
-  /// Append-only journal for crash recovery; empty = no durability.
+  /// Journal for crash recovery (see JournalFormat); empty = no
+  /// durability. Without Resume, startup replaces it with an empty one.
   std::string JournalPath;
   /// Replay JournalPath on startup (serve completed verdicts, recompute
   /// orphaned admissions).
@@ -159,6 +163,30 @@ struct ServerStats {
   uint64_t PersistLoaded = 0; ///< verdicts warm-started from the cache file
   uint64_t PersistSpilled = 0;///< fresh verdicts appended to the cache file
 };
+
+/// The journal is a RecordLog (support/RecordLog.h) with magic 'TSDJ'.
+/// An A record is (u8 'A', str client, u64 id, u8 protocol version, str
+/// encodeSubmit(Q)); a V record is (u8 'V', str client, u64 id, str
+/// encodeResponse(R)). The CRC means a damaged verdict is dropped and its
+/// request recomputed, never served altered.
+constexpr RecordFormat JournalFormat{0x4A445354 /* "TSDJ" */, 1};
+
+/// One request as the journal records it: the admission and, once
+/// computed, the verdict.
+struct JournalEntry {
+  std::string Client;
+  uint64_t Id = 0;
+  QueryRequest Q;
+  QueryResponse Resp;
+  bool Done = false; ///< a V record followed the A record
+};
+
+/// Loads the valid prefix of the journal at \p Path into \p Out, one entry
+/// per (client, id) in admission order; the first admission wins and a
+/// verdict without an admission is ignored. HeaderOk=false in the result
+/// means the file is not a daemon journal (`--resume` then refuses it).
+RecordLogInfo loadJournal(const std::string &Path,
+                          std::vector<JournalEntry> &Out);
 
 /// Runs the daemon until Stop is requested (or the listeners fail
 /// fatally). Returns 0 on clean shutdown, 1 on startup failure (bad

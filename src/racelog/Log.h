@@ -12,10 +12,9 @@
 /// exactly that prefix — a flipped bit fails the block CRC, a torn tail
 /// fails the length check, and garbage never parses as events.
 ///
-/// The CRC is the standard reflected CRC-32 (the zlib/PNG polynomial, same
-/// check value as the daemon frames) but computed slice-by-8 here: the
-/// byte-at-a-time table walk the daemon uses would cap ingest well below
-/// the streaming detector's >= 500 MB/s target.
+/// The CRC is the shared slice-by-8 CRC-32 (support/RecordLog.h). The
+/// blocks keep their own layout rather than RecordLog's: a block header
+/// counts its records, and ingest validates blocks in parallel stripes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,10 +71,6 @@ struct LogEvent {
 /// Thread ids are 16 bits on the wire; the detector packs (tid, clock)
 /// epochs into one u64 on the strength of this bound.
 constexpr uint32_t MaxTids = 1u << 16;
-
-/// CRC32 (reflected, polynomial 0xEDB88320; crc32("123456789") ==
-/// 0xCBF43926 — interoperable with daemon::crc32), slice-by-8.
-uint32_t crc32(const void *Data, size_t Len);
 
 //===----------------------------------------------------------------------===//
 // Writer

@@ -14,34 +14,35 @@
 /// whose SymbolIds depend on the process's interning history and would be
 /// wrong to replay into another process.
 ///
-/// The file reuses the TSRL block-framing discipline from racelog/Log.h:
-/// a 16-byte header (magic, version), then one CRC32-framed block per
-/// entry, each flushed after the append. Loads stop at the first invalid
-/// block (valid-prefix semantics): a torn tail from a crash mid-append
-/// costs at most the last entry, never the file. `open` truncates a torn
-/// tail away before appending so the file can only grow valid blocks.
+/// The file is a RecordLog (support/RecordLog.h) with magic 'TSCS',
+/// version 1: one CRC-framed record per entry, appended in one write(2).
+/// Loads keep the valid prefix, so a torn tail from a crash mid-append
+/// costs at most the last entry, never the file, and `open` truncates a
+/// torn tail away before appending. Appends survive `kill -9` but are not
+/// fsynced. The layout is fixed: stores written by earlier versions load
+/// unchanged (test_cache_store pins the bytes).
 ///
-/// Layout (all integers little-endian):
+/// Entry payload (little-endian):
 ///
-///   file header:  u32 magic 'TSCS' | u8 version | u8[3] zero | u64 zero
-///   block header: u32 magic 'TSCB' | u32 payloadLen | u32 crc32(payload)
-///                 | u32 zero
-///   payload:      u32 keyLen | key bytes
-///                 | u8 verdictKind | u8 truncationReason | u16 zero
-///                 | u64 costVisits | u64 costBytes
-///                 | u32 detailLen | detail bytes
+///   u32 keyLen | key bytes
+///   | u8 verdictKind | u8 truncationReason | u16 zero
+///   | u64 costVisits | u64 costBytes
+///   | u32 detailLen | detail bytes
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TRACESAFE_VERIFY_CACHESTORE_H
 #define TRACESAFE_VERIFY_CACHESTORE_H
 
+#include "support/RecordLog.h"
 #include "verify/BehaviourCache.h"
 
-#include <cstdio>
+#include <atomic>
 #include <string>
 
 namespace tracesafe {
+
+constexpr RecordFormat CacheStoreFormat{0x53435354 /* "TSCS" */, 1};
 
 /// What a load found. HeaderOk=false means the file exists but is not a
 /// TSCS store (wrong magic/version) — the caller should refuse to append
@@ -64,36 +65,30 @@ struct CacheStoreInfo {
 /// in Blocks but not Loaded.
 CacheStoreInfo loadCacheStore(const std::string &Path, BehaviourCache &Cache);
 
-/// The append side. One writer per file; appends are serialised by the
-/// caller (the BehaviourCache persist sink already runs its callbacks one
-/// at a time per insertion, but from multiple worker threads, so append()
-/// takes its own lock).
+/// The append side, one per file. append() is thread-safe: the
+/// BehaviourCache persist sink calls it from the query workers.
 class CacheStore {
 public:
-  CacheStore() = default;
-  ~CacheStore() { close(); }
-  CacheStore(const CacheStore &) = delete;
-  CacheStore &operator=(const CacheStore &) = delete;
-
   /// Opens \p Path for appending, creating it (with a fresh header) when
   /// missing and truncating any torn tail on an existing store. Returns
   /// false with \p Err set when the file is unusable (not a TSCS store,
   /// unwritable).
-  bool open(const std::string &Path, std::string &Err);
+  bool open(const std::string &Path, std::string &Err) {
+    return Log.open(Path, Err);
+  }
 
-  /// Appends one entry as a flushed CRC-framed block. No-op when closed
-  /// or when the entry exceeds the block payload bound.
+  /// Appends one entry as one CRC-framed record. No-op when closed, for
+  /// Unknown verdicts, or when the entry exceeds the record bound.
   void append(const std::string &Key, const BehaviourCache::CachedQuery &E);
 
-  void close();
+  void close() { Log.close(); }
 
-  bool isOpen() const { return File != nullptr; }
+  bool isOpen() const { return Log.isOpen(); }
   uint64_t appended() const { return Appended; }
 
 private:
-  std::FILE *File = nullptr;
-  std::mutex M;
-  uint64_t Appended = 0;
+  RecordLog Log{CacheStoreFormat};
+  std::atomic<uint64_t> Appended{0};
 };
 
 } // namespace tracesafe

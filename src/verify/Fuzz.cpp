@@ -18,7 +18,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <tuple>
 
 using namespace tracesafe;
@@ -176,21 +175,12 @@ std::string jsonEscape(const std::string &S) {
 }
 
 //===--------------------------------------------------------------------===//
-// Checkpoint journal.
-//
-// Append-only, line-oriented, one *record* per finished program index:
-//   H \t 1 \t <seed> \t <programs>                 (file header, once)
-//   S \t <idx> \t <checks> \t <proved> \t <unknown> \t <escalated>
-//     \t <injected> \t <faulted> \t <degraded>
-//   F \t <idx> \t ... one line per failure, strings escaped ...
-//   D \t <idx>                                     (commit marker)
-// A record only counts once its D line is on disk; a crash mid-record
-// leaves a tail the loader discards, and the index is simply re-run on
-// resume. Strings escape '\\', '\t', '\n' so the format stays line- and
-// tab-splittable without a real parser.
+// Checkpoint journal: a RecordLog (CheckpointFormat) with one record per
+// finished program index. A record is the campaign's (seed, programs),
+// the index, its counters and its failures; the CRC makes each record
+// atomic, so a crash mid-append loses only that index, which a resume
+// simply re-runs.
 //===--------------------------------------------------------------------===//
-
-constexpr int JournalVersion = 1;
 
 /// One finished program index's contribution to the campaign report.
 /// RunOne accumulates into this, and exactly this is journaled, so a
@@ -206,213 +196,104 @@ struct IndexRecord {
   std::vector<FuzzFailure> Failures;
 };
 
-std::string escField(const std::string &S) {
+std::string encodeRecord(uint64_t Seed, uint64_t Programs, uint64_t Idx,
+                         const IndexRecord &R) {
   std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      Out += C;
-    }
+  for (uint64_t V : std::initializer_list<uint64_t>{
+           Seed, Programs, Idx, R.Checks, R.Proved, R.Unknown, R.Escalated,
+           R.Faulted, R.Degraded, R.Failures.size()})
+    putU64(Out, V);
+  putU8(Out, R.Injected);
+  for (const FuzzFailure &F : R.Failures) {
+    putU8(Out, F.Injected);
+    for (uint64_t V : std::initializer_list<uint64_t>{
+             F.OriginalStmts, F.ReducedStmts, F.ShrinkRounds,
+             F.ShrinkCandidates, F.ChainSteps, F.ReducedChainSteps})
+      putU64(Out, V);
+    for (const std::string *S : {&F.Property, &F.ReproPath, &F.Detail,
+                                 &F.ReducedChain, &F.OriginalSource,
+                                 &F.ReducedSource})
+      putStr(Out, *S);
   }
   return Out;
 }
 
-std::string unescField(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (size_t I = 0; I < S.size(); ++I) {
-    if (S[I] != '\\' || I + 1 >= S.size()) {
-      Out += S[I];
-      continue;
-    }
-    switch (S[++I]) {
-    case '\\':
-      Out += '\\';
-      break;
-    case 't':
-      Out += '\t';
-      break;
-    case 'n':
-      Out += '\n';
-      break;
-    default: // Unknown escape: keep both chars (forward compatibility).
-      Out += '\\';
-      Out += S[I];
-    }
+/// Decodes one record of the (Seed, Programs) campaign; false for a
+/// malformed record or one of another campaign. Reader failures are
+/// sticky, so the fields are read unchecked and done() decides.
+bool decodeRecord(std::string_view P, uint64_t Seed, uint64_t Programs,
+                  uint64_t &Idx, IndexRecord &R) {
+  PayloadReader Rd(P);
+  uint64_t S = 0, N = 0, Count = 0;
+  uint8_t Inj = 0;
+  if (!Rd.u64(S) || !Rd.u64(N) || !Rd.u64(Idx) || S != Seed ||
+      N != Programs || Idx >= Programs)
+    return false;
+  for (uint64_t *V : {&R.Checks, &R.Proved, &R.Unknown, &R.Escalated,
+                      &R.Faulted, &R.Degraded, &Count})
+    Rd.u64(*V);
+  Rd.u8(Inj);
+  R.Injected = Inj != 0;
+  for (uint64_t I = 0; I < Count && Rd.u8(Inj); ++I) {
+    FuzzFailure F;
+    uint64_t V[6] = {};
+    for (uint64_t &X : V)
+      Rd.u64(X);
+    for (std::string *Str : {&F.Property, &F.ReproPath, &F.Detail,
+                             &F.ReducedChain, &F.OriginalSource,
+                             &F.ReducedSource})
+      Rd.str(*Str);
+    F.ProgramIndex = Idx;
+    F.Injected = Inj != 0;
+    F.OriginalStmts = V[0];
+    F.ReducedStmts = V[1];
+    F.ShrinkRounds = static_cast<unsigned>(V[2]);
+    F.ShrinkCandidates = V[3];
+    F.ChainSteps = V[4];
+    F.ReducedChainSteps = V[5];
+    R.Failures.push_back(std::move(F));
   }
-  return Out;
+  return Rd.done();
 }
 
-std::vector<std::string> splitTabs(const std::string &Line) {
-  std::vector<std::string> Out;
-  size_t Begin = 0;
-  while (true) {
-    size_t Tab = Line.find('\t', Begin);
-    if (Tab == std::string::npos) {
-      Out.push_back(Line.substr(Begin));
-      return Out;
-    }
-    Out.push_back(Line.substr(Begin, Tab - Begin));
-    Begin = Tab + 1;
-  }
-}
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(S.c_str(), &End, 10);
-  return End == S.c_str() + S.size();
-}
-
-void writeFailureLine(std::ostream &Os, uint64_t Idx, const FuzzFailure &F) {
-  Os << "F\t" << Idx << '\t' << escField(F.Property) << '\t'
-     << (F.Injected ? 1 : 0) << '\t' << F.OriginalStmts << '\t'
-     << F.ReducedStmts << '\t' << F.ShrinkRounds << '\t'
-     << F.ShrinkCandidates << '\t' << F.ChainSteps << '\t'
-     << F.ReducedChainSteps << '\t' << escField(F.ReproPath) << '\t'
-     << escField(F.Detail) << '\t' << escField(F.ReducedChain) << '\t'
-     << escField(F.OriginalSource) << '\t' << escField(F.ReducedSource)
-     << '\n';
-}
-
-bool parseFailureLine(const std::vector<std::string> &T, FuzzFailure &F) {
-  if (T.size() != 15)
-    return false;
-  uint64_t N = 0;
-  if (!parseU64(T[1], N))
-    return false;
-  F.ProgramIndex = N;
-  F.Property = unescField(T[2]);
-  F.Injected = T[3] == "1";
-  if (!parseU64(T[4], N))
-    return false;
-  F.OriginalStmts = N;
-  if (!parseU64(T[5], N))
-    return false;
-  F.ReducedStmts = N;
-  if (!parseU64(T[6], N))
-    return false;
-  F.ShrinkRounds = static_cast<unsigned>(N);
-  if (!parseU64(T[7], F.ShrinkCandidates))
-    return false;
-  if (!parseU64(T[8], N))
-    return false;
-  F.ChainSteps = N;
-  if (!parseU64(T[9], N))
-    return false;
-  F.ReducedChainSteps = N;
-  F.ReproPath = unescField(T[10]);
-  F.Detail = unescField(T[11]);
-  F.ReducedChain = unescField(T[12]);
-  F.OriginalSource = unescField(T[13]);
-  F.ReducedSource = unescField(T[14]);
-  return true;
-}
-
-/// Serialised writer for the checkpoint journal. Each record is written
-/// and flushed under one lock acquisition, so concurrent campaign workers
-/// interleave whole records, never lines.
+/// The campaign's checkpoint writer.
 class Journal {
 public:
-  bool open(const std::string &Path, bool Append, uint64_t Seed,
-            uint64_t Programs) {
-    Os.open(Path, Append ? std::ios::app : std::ios::trunc);
-    if (!Os)
-      return false;
-    if (!Append) {
-      Os << "H\t" << JournalVersion << '\t' << Seed << '\t' << Programs
-         << '\n';
-      Os.flush();
-    }
-    return true;
+  /// Replaces \p Path with a log of the \p Resumed records (RecordLog::
+  /// rewrite: a crash mid-compaction leaves the old journal, never a
+  /// shorter one) and keeps it open for the fresh records.
+  void open(const std::string &Path, uint64_t Seed, uint64_t Programs,
+            const std::map<uint64_t, IndexRecord> &Resumed) {
+    this->Seed = Seed;
+    this->Programs = Programs;
+    std::vector<std::string> Records;
+    for (const auto &[Idx, R] : Resumed)
+      Records.push_back(encodeRecord(Seed, Programs, Idx, R));
+    std::string Err;
+    Log.rewrite(Path, Records, Err);
   }
 
-  bool active() const { return Os.is_open(); }
-
   void record(uint64_t Idx, const IndexRecord &R) {
-    if (!Os.is_open())
-      return;
-    std::lock_guard<std::mutex> Lock(M);
-    Os << "S\t" << Idx << '\t' << R.Checks << '\t' << R.Proved << '\t'
-       << R.Unknown << '\t' << R.Escalated << '\t' << (R.Injected ? 1 : 0)
-       << '\t' << R.Faulted << '\t' << R.Degraded << '\n';
-    for (const FuzzFailure &F : R.Failures)
-      writeFailureLine(Os, Idx, F);
-    Os << "D\t" << Idx << '\n';
-    Os.flush();
+    if (Log.isOpen())
+      Log.append(encodeRecord(Seed, Programs, Idx, R));
   }
 
 private:
-  std::mutex M;
-  std::ofstream Os;
+  RecordLog Log{CheckpointFormat};
+  uint64_t Seed = 0, Programs = 0;
 };
 
-/// Loads every committed (D-terminated) record of \p Path. False when the
-/// file is unreadable or its header does not describe the (Seed, Programs)
-/// campaign — the caller then starts fresh. Tolerates a torn tail and
-/// arbitrary garbage lines; an index recorded twice keeps the later
-/// record.
-bool loadJournal(const std::string &Path, uint64_t Seed, uint64_t Programs,
+/// Loads every valid record of the (Seed, Programs) campaign from \p Path;
+/// an index recorded twice keeps the later record. A journal of another
+/// campaign or format contributes nothing.
+void loadJournal(const std::string &Path, uint64_t Seed, uint64_t Programs,
                  std::map<uint64_t, IndexRecord> &Out) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return false;
-  std::string Line;
-  if (!std::getline(Is, Line))
-    return false;
-  {
-    std::vector<std::string> T = splitTabs(Line);
-    uint64_t V = 0, S = 0, P = 0;
-    if (T.size() != 4 || T[0] != "H" || !parseU64(T[1], V) ||
-        !parseU64(T[2], S) || !parseU64(T[3], P) || V != JournalVersion ||
-        S != Seed || P != Programs)
-      return false;
-  }
-  std::map<uint64_t, IndexRecord> Pending;
-  while (std::getline(Is, Line)) {
-    std::vector<std::string> T = splitTabs(Line);
-    if (T.size() < 2)
-      continue;
+  RecordLog::load(Path, CheckpointFormat, [&](std::string_view P) {
     uint64_t Idx = 0;
-    if (!parseU64(T[1], Idx) || Idx >= Programs)
-      continue;
-    if (T[0] == "S") {
-      if (T.size() != 9)
-        continue;
-      IndexRecord R;
-      uint64_t Inj = 0;
-      if (!parseU64(T[2], R.Checks) || !parseU64(T[3], R.Proved) ||
-          !parseU64(T[4], R.Unknown) || !parseU64(T[5], R.Escalated) ||
-          !parseU64(T[6], Inj) || !parseU64(T[7], R.Faulted) ||
-          !parseU64(T[8], R.Degraded))
-        continue;
-      R.Injected = Inj != 0;
-      Pending[Idx] = std::move(R); // Restarts any earlier torn record.
-    } else if (T[0] == "F") {
-      auto It = Pending.find(Idx);
-      FuzzFailure F;
-      if (It != Pending.end() && parseFailureLine(T, F))
-        It->second.Failures.push_back(std::move(F));
-    } else if (T[0] == "D") {
-      auto It = Pending.find(Idx);
-      if (It != Pending.end()) {
-        Out[Idx] = std::move(It->second);
-        Pending.erase(It);
-      }
-    }
-  }
-  return true;
+    IndexRecord R;
+    if (decodeRecord(P, Seed, Programs, Idx, R))
+      Out[Idx] = std::move(R);
+  });
 }
 
 //===--------------------------------------------------------------------===//
@@ -865,25 +746,16 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
     }
   };
 
-  // Resume: merge the journaled records and mark their indices done.
+  // Resume: merge the journaled records and mark their indices done. The
+  // journal is then compacted to exactly those records, in index order,
+  // before fresh indices are appended after them.
   std::map<uint64_t, IndexRecord> Resumed;
   if (Options.Resume && !Options.CheckpointPath.empty())
     loadJournal(Options.CheckpointPath, Options.Seed, Options.Programs,
                 Resumed);
-  // Satellite: journal compaction. The journal is always rewritten fresh
-  // — header first, then every resumed record re-recorded in index order
-  // — instead of appending to the old file. A journal that has survived
-  // several kill/resume cycles accumulates torn tails, superseded
-  // duplicate records and garbage lines; compaction drops all of that.
-  // Each record is flushed as it is rewritten, so a crash mid-compaction
-  // still leaves a loadable (if shorter) journal.
   Journal J;
-  if (!Options.CheckpointPath.empty()) {
-    J.open(Options.CheckpointPath, /*Append=*/false, Options.Seed,
-           Options.Programs);
-    for (const auto &[Idx, R] : Resumed)
-      J.record(Idx, R);
-  }
+  if (!Options.CheckpointPath.empty())
+    J.open(Options.CheckpointPath, Options.Seed, Options.Programs, Resumed);
 
   // Completion map: true once an index's record is merged (from the
   // journal or a finished run). Drives the post-loop sweep that re-runs

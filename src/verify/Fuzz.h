@@ -25,6 +25,7 @@
 #ifndef TRACESAFE_VERIFY_FUZZ_H
 #define TRACESAFE_VERIFY_FUZZ_H
 
+#include "support/RecordLog.h"
 #include "verify/Escalate.h"
 #include "verify/ProgramGen.h"
 #include "verify/Shrink.h"
@@ -33,6 +34,9 @@
 #include <vector>
 
 namespace tracesafe {
+
+/// File header of the checkpoint journal (FuzzOptions::CheckpointPath).
+constexpr RecordFormat CheckpointFormat{0x43465354 /* "TSFC" */, 1};
 
 struct FuzzOptions {
   uint64_t Seed = 1;
@@ -68,10 +72,10 @@ struct FuzzOptions {
   /// Reduction limits for failure minimisation.
   ShrinkOptions Shrink{/*MaxRounds=*/32, /*MaxCandidates=*/1500,
                        /*DeadlineMs=*/10'000};
-  /// Append-only checkpoint journal ("" = none). One record per finished
-  /// program index, flushed as it completes, so a killed campaign loses at
-  /// most the indices that were in flight. See docs/PERFORMANCE.md for the
-  /// format.
+  /// Checkpoint journal ("" = none), a RecordLog in CheckpointFormat.
+  /// One record per finished program index, appended as it completes, so
+  /// a killed campaign loses at most the indices that were in flight. See
+  /// docs/PERFORMANCE.md for the format.
   std::string CheckpointPath;
   /// Load CheckpointPath first and skip every index it records as done
   /// (their recorded results are merged instead). Ignored when the

@@ -2,16 +2,15 @@
 ///
 /// \file
 /// Tests for the persistent warm-start store (TSCS): round-tripping the
-/// query-verdict family through a file, valid-prefix loading under torn
-/// tails and corrupted blocks, refusal of non-TSCS files, append-after-
-/// load growth, and the loader's Notify=false contract (loading never
-/// re-triggers the persist sink).
+/// query-verdict family through a file, the byte layout of stores written
+/// before the store moved onto RecordLog, skipping of validly framed
+/// malformed entries, and the loader's Notify=false contract (loading
+/// never re-triggers the persist sink). Torn tails, flipped bits and
+/// foreign headers are covered for every format in test_record_log.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "verify/CacheStore.h"
-
-#include "racelog/Log.h"
 
 #include <gtest/gtest.h>
 
@@ -107,103 +106,56 @@ TEST(CacheStore, MissingFileIsAnEmptyStore) {
   EXPECT_FALSE(Info.TornTail);
 }
 
-TEST(CacheStore, TornTailLoadsTheValidPrefixAndOpenTruncatesIt) {
-  TempFile F("torn");
-  {
-    CacheStore Store;
-    std::string Err;
-    ASSERT_TRUE(Store.open(F.Path, Err)) << Err;
-    Store.append("key-a", entry(VerdictKind::Proved, "first", 1));
-    Store.append("key-b", entry(VerdictKind::Proved, "second", 2));
-    Store.append("key-c", entry(VerdictKind::Proved, "third", 3));
-  }
-  // Crash simulation: the last append was torn mid-block.
-  uint64_t Full = fileSize(F.Path);
-  ASSERT_GT(Full, 5u);
-  std::filesystem::resize_file(F.Path, Full - 5);
+/// A store written by the CacheStore that predates RecordLog: the entries
+/// ("k\x01-proved", Proved, 100/300) and ("k-refuted", Refuted, "race on
+/// g0\n\ttab", 250/750).
+const char ParentStore[] =
+    "TSCS\x01\0\0\0\0\0\0\0\0\0\0\0"
+    "TSCB\x25\0\0\0\x60\x93\x4b\x4e\0\0\0\0"
+    "\x09\0\0\0k\x01-proved\0\0\0\0\x64\0\0\0\0\0\0\0\x2c\x01\0\0"
+    "\0\0\0\0\0\0\0\0"
+    "TSCB\x34\0\0\0\x2d\x70\x56\x2e\0\0\0\0"
+    "\x09\0\0\0k-refuted\x01\0\0\0\xfa\0\0\0\0\0\0\0\xee\x02\0\0"
+    "\0\0\0\0\x0f\0\0\0race on g0\n\ttab";
 
+TEST(CacheStore, StoresFromBeforeRecordLogLoadEntryForEntry) {
+  const std::string Want(ParentStore, sizeof(ParentStore) - 1);
+  ASSERT_EQ(Want.size(), 137u);
+  TempFile Old("parent");
+  std::ofstream(Old.Path, std::ios::binary) << Want;
   BehaviourCache Cache;
-  CacheStoreInfo Info = loadCacheStore(F.Path, Cache);
+  CacheStoreInfo Info = loadCacheStore(Old.Path, Cache);
   EXPECT_TRUE(Info.HeaderOk);
-  EXPECT_TRUE(Info.TornTail);
-  EXPECT_EQ(Info.Loaded, 2u) << "the torn tail costs exactly one entry";
-  EXPECT_GT(Info.DroppedBytes, 0u);
+  EXPECT_FALSE(Info.TornTail);
+  EXPECT_EQ(Info.Loaded, 2u);
   Budget B(BudgetSpec{});
-  EXPECT_TRUE(Cache.queryFor("key-a", &B).has_value());
-  EXPECT_TRUE(Cache.queryFor("key-b", &B).has_value());
-  EXPECT_FALSE(Cache.queryFor("key-c", &B).has_value());
+  std::optional<BehaviourCache::CachedQuery> A =
+      Cache.queryFor(std::string("k\x01-proved"), &B);
+  std::optional<BehaviourCache::CachedQuery> R =
+      Cache.queryFor("k-refuted", &B);
+  ASSERT_TRUE(A && R);
+  EXPECT_EQ(A->Kind, VerdictKind::Proved);
+  EXPECT_EQ(A->Detail, "");
+  EXPECT_EQ(A->CostVisits, 100u);
+  EXPECT_EQ(A->CostBytes, 300u);
+  EXPECT_EQ(R->Kind, VerdictKind::Refuted);
+  EXPECT_EQ(R->Detail, "race on g0\n\ttab");
+  EXPECT_EQ(R->CostVisits, 250u);
+  EXPECT_EQ(R->CostBytes, 750u);
 
-  // Re-opening truncates the tail so new appends land on a valid prefix.
+  // The same entries written today produce the same bytes.
+  TempFile New("current");
   {
     CacheStore Store;
     std::string Err;
-    ASSERT_TRUE(Store.open(F.Path, Err)) << Err;
-    Store.append("key-d", entry(VerdictKind::Refuted, "fresh", 4));
+    ASSERT_TRUE(Store.open(New.Path, Err)) << Err;
+    Store.append(std::string("k\x01-proved"),
+                 entry(VerdictKind::Proved, "", 100));
+    Store.append("k-refuted",
+                 entry(VerdictKind::Refuted, "race on g0\n\ttab", 250));
   }
-  BehaviourCache Cache2;
-  Info = loadCacheStore(F.Path, Cache2);
-  EXPECT_TRUE(Info.HeaderOk);
-  EXPECT_FALSE(Info.TornTail) << "open() must have truncated the tail";
-  EXPECT_EQ(Info.Loaded, 3u);
-  EXPECT_TRUE(Cache2.queryFor("key-d", &B).has_value());
-}
-
-TEST(CacheStore, CorruptedBlockStopsTheLoadAtTheValidPrefix) {
-  TempFile F("crc");
-  {
-    CacheStore Store;
-    std::string Err;
-    ASSERT_TRUE(Store.open(F.Path, Err)) << Err;
-    Store.append("key-a", entry(VerdictKind::Proved, "first", 1));
-    Store.append("key-b", entry(VerdictKind::Proved, "second", 2));
-  }
-  // Flip one byte in the last block's payload: its CRC no longer matches.
-  uint64_t Full = fileSize(F.Path);
-  {
-    std::fstream S(F.Path,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(S.is_open());
-    S.seekp(static_cast<std::streamoff>(Full - 3));
-    char C;
-    S.seekg(static_cast<std::streamoff>(Full - 3));
-    S.get(C);
-    S.seekp(static_cast<std::streamoff>(Full - 3));
-    S.put(static_cast<char>(C ^ 0x5A));
-  }
-  BehaviourCache Cache;
-  CacheStoreInfo Info = loadCacheStore(F.Path, Cache);
-  EXPECT_TRUE(Info.HeaderOk);
-  EXPECT_TRUE(Info.TornTail);
-  EXPECT_EQ(Info.Loaded, 1u);
-  Budget B(BudgetSpec{});
-  EXPECT_TRUE(Cache.queryFor("key-a", &B).has_value());
-  EXPECT_FALSE(Cache.queryFor("key-b", &B).has_value())
-      << "a bit-flipped entry must never load";
-}
-
-TEST(CacheStore, NonTscsFilesAreRefusedNotOverwritten) {
-  TempFile F("garbage");
-  {
-    std::ofstream S(F.Path, std::ios::binary);
-    S << "this is definitely not a TSCS cache store, do not touch";
-  }
-  uint64_t Before = fileSize(F.Path);
-
-  BehaviourCache Cache;
-  CacheStoreInfo Info = loadCacheStore(F.Path, Cache);
-  EXPECT_FALSE(Info.HeaderOk);
-  EXPECT_FALSE(Info.Error.empty());
-  EXPECT_EQ(Info.Loaded, 0u);
-  EXPECT_EQ(Info.DroppedBytes, Before);
-
-  CacheStore Store;
-  std::string Err;
-  EXPECT_FALSE(Store.open(F.Path, Err))
-      << "open must refuse a file that is not a store";
-  EXPECT_FALSE(Err.empty());
-  EXPECT_FALSE(Store.isOpen());
-  EXPECT_EQ(fileSize(F.Path), Before)
-      << "refusal must leave the file untouched";
+  std::ifstream In(New.Path, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(In), {}), Want);
 }
 
 TEST(CacheStore, ValidlyFramedGarbagePayloadsAreSkippedNotLoaded) {
@@ -218,32 +170,17 @@ TEST(CacheStore, ValidlyFramedGarbagePayloadsAreSkippedNotLoaded) {
     Store.append("key-a", entry(VerdictKind::Proved, "good", 1));
   }
   {
-    // Hand-frame an Unknown-kind entry (append() itself refuses them).
+    // Frame an Unknown-kind entry by hand (append() itself refuses them).
     std::string Payload;
-    auto PutU32 = [&](uint32_t V) {
-      for (int I = 0; I < 4; ++I)
-        Payload.push_back(static_cast<char>((V >> (I * 8)) & 0xFF));
-    };
-    std::string Key = "key-u";
-    PutU32(static_cast<uint32_t>(Key.size()));
-    Payload += Key;
-    Payload.push_back(static_cast<char>(VerdictKind::Unknown));
-    Payload.push_back(static_cast<char>(TruncationReason::StateCap));
-    Payload.append(2, '\0');
-    Payload.append(16, '\0'); // costVisits, costBytes
-    PutU32(0);                // detailLen
-    std::string Block;
-    std::string Hdr;
-    auto PutHdr = [&](uint32_t V) {
-      for (int I = 0; I < 4; ++I)
-        Hdr.push_back(static_cast<char>((V >> (I * 8)) & 0xFF));
-    };
-    PutHdr(0x42435354); // "TSCB"
-    PutHdr(static_cast<uint32_t>(Payload.size()));
-    PutHdr(racelog::crc32(Payload.data(), Payload.size()));
-    PutHdr(0);
-    std::ofstream S(F.Path, std::ios::binary | std::ios::app);
-    S << Hdr << Payload;
+    putStr(Payload, "key-u");
+    putU8(Payload, static_cast<uint8_t>(VerdictKind::Unknown));
+    putU8(Payload, static_cast<uint8_t>(TruncationReason::StateCap));
+    Payload.append(2 + 16, '\0'); // pad, costVisits, costBytes
+    putStr(Payload, "");
+    RecordLog Log(CacheStoreFormat);
+    std::string Err;
+    ASSERT_TRUE(Log.open(F.Path, Err)) << Err;
+    ASSERT_TRUE(Log.append(Payload));
   }
   {
     CacheStore Store; // another good entry *after* the garbage block

@@ -98,8 +98,6 @@ public:
   ~ServerFixture() {
     shutdown();
     std::remove(Opts.SocketPath.c_str());
-    if (!Opts.JournalPath.empty())
-      std::remove(Opts.JournalPath.c_str());
   }
 
   ServerOptions Opts;
@@ -1135,6 +1133,37 @@ TEST(Daemon, PersistentCacheWarmStartsARestartedDaemon) {
     EXPECT_GE(S.PersistLoaded, 1u);
   }
   std::remove(CachePath.c_str());
+}
+
+TEST(Daemon, FreshStartBeginsANewJournal) {
+  // Run 1 answers X as (client, 1), run 2 is a fresh start that stops at
+  // once, run 3 resumes and is asked Y as (client, 1): the default name
+  // and first id of every library client. Had run 2 kept run 1's
+  // records, run 3 would replay X's verdict for Y.
+  std::string Journal = uniqueSocket("fresh") + ".journal";
+  const QueryRequest X = drfQuery("thread { x := 1; }\nthread { r0 := x; }\n");
+  const QueryRequest Y = drfQuery("thread { x := 1; r0 := x; }\n");
+  auto Run = [&](bool Resume, const QueryRequest *Q) {
+    ServerOptions O;
+    O.SocketPath = uniqueSocket("fresh");
+    O.JournalPath = Journal;
+    O.Resume = Resume;
+    ServerFixture Server(O);
+    QueryResponse R;
+    if (Q) {
+      ClientOptions CO;
+      CO.SocketPath = Server.Opts.SocketPath;
+      R = DaemonClient(CO).call(*Q);
+    }
+    return R;
+  };
+  QueryResponse First = Run(false, &X);
+  ASSERT_EQ(First.Kind, VerdictKind::Refuted);
+  Run(false, nullptr);
+  QueryResponse Third = Run(true, &Y);
+  EXPECT_EQ(Third.Kind, VerdictKind::Proved);
+  EXPECT_EQ(Third.str(), evaluateQuery(Y, TestCeiling).str());
+  std::remove(Journal.c_str());
 }
 
 } // namespace

@@ -30,10 +30,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -78,14 +78,12 @@ pid_t spawnDaemon(const Listener &L, const std::string &Journal,
   _exit(127);
 }
 
-size_t countVerdictLines(const std::string &Path) {
-  std::ifstream In(Path);
-  size_t N = 0;
-  std::string Line;
-  while (std::getline(In, Line))
-    if (Line.rfind("V\t", 0) == 0)
-      ++N;
-  return N;
+/// Requests with a durable verdict, read through the journal loader.
+size_t countVerdicts(const std::string &Path) {
+  std::vector<JournalEntry> Entries;
+  loadJournal(Path, Entries);
+  return std::count_if(Entries.begin(), Entries.end(),
+                       [](const JournalEntry &E) { return E.Done; });
 }
 
 /// A seeded batch rotating all four query kinds over generated programs,
@@ -191,7 +189,7 @@ TEST_P(DaemonChaos, Kill9MidBatchResumesToIdenticalTranscript) {
   // durable, the rest orphaned admissions).
   bool SawProgress = false;
   for (int I = 0; I < 20000; ++I) {
-    if (countVerdictLines(Journal) >= 2) {
+    if (countVerdicts(Journal) >= 2) {
       SawProgress = true;
       break;
     }
@@ -203,7 +201,7 @@ TEST_P(DaemonChaos, Kill9MidBatchResumesToIdenticalTranscript) {
   ASSERT_EQ(::waitpid(First, &Status, 0), First);
   ASSERT_TRUE(WIFSIGNALED(Status) && WTERMSIG(Status) == SIGKILL);
 
-  size_t Durable = countVerdictLines(Journal);
+  size_t Durable = countVerdicts(Journal);
   pid_t Second = spawnDaemon(L, Journal, /*Resume=*/true);
   ASSERT_GT(Second, 0);
 
@@ -215,7 +213,7 @@ TEST_P(DaemonChaos, Kill9MidBatchResumesToIdenticalTranscript) {
     EXPECT_EQ(Got[I].str(), Want[I])
         << "query " << I << " diverged across the crash";
   }
-  EXPECT_GE(countVerdictLines(Journal), Qs.size())
+  EXPECT_GE(countVerdicts(Journal), Qs.size())
       << "the merged journal must cover the whole batch";
   EXPECT_LT(Durable, Qs.size())
       << "the kill was supposed to land mid-batch (flaky-machine note: "

@@ -15,6 +15,7 @@
 #include "racelog/Log.h"
 #include "racelog/Synth.h"
 #include "support/Failure.h"
+#include "support/RecordLog.h"
 
 #include <gtest/gtest.h>
 
@@ -65,13 +66,6 @@ RaceLogReport scanCfg(const std::string &Log, unsigned Shards,
 //===----------------------------------------------------------------------===//
 // Format: codec and valid-prefix robustness
 //===----------------------------------------------------------------------===//
-
-TEST(RaceLogFormat, Crc32CheckValue) {
-  // The standard reflected CRC-32 check value; pins interoperability with
-  // the daemon's byte-at-a-time implementation.
-  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(crc32("", 0), 0u);
-}
 
 TEST(RaceLogFormat, RoundTripMultiBlock) {
   std::vector<LogEvent> In;

@@ -86,35 +86,6 @@ TEST(Resume, ResumedCampaignMatchesUninterruptedByteForByte) {
   std::remove(Journal.c_str());
 }
 
-TEST(Resume, TornTailAndGarbageLinesAreDiscarded) {
-  std::string Journal = tempPath("resume_torn");
-  std::remove(Journal.c_str());
-
-  FuzzOptions Full = campaign(Journal);
-  FuzzReport Want = runFuzz(Full);
-  ASSERT_EQ(Want.ProgramsRun, Full.Programs);
-
-  // Simulate a crash mid-record: an S line with no D commit marker, plus
-  // assorted garbage. The loader must drop all of it and re-run only the
-  // affected index (here: an index that is already committed, so nothing
-  // re-runs — the point is that the tail does not corrupt the merge).
-  {
-    std::ofstream Os(Journal, std::ios::app);
-    Os << "S\t3\t999\t999\t999\t999\t1\t0\t0\n" // torn: never committed
-       << "F\t3\tnot-even-enough-fields\n"
-       << "this is not a journal line\n"
-       << "S\t9999\t1\t1\t1\t1\t0\t0\t0\nD\t9999\n" // out-of-range index
-       << "S\t5\t1\t1\t"; // torn mid-line
-  }
-  FuzzOptions Rest = campaign(Journal);
-  Rest.Resume = true;
-  FuzzReport Merged = runFuzz(Rest);
-  EXPECT_EQ(Merged.ProgramsRun, Full.Programs);
-  EXPECT_EQ(Merged.SkippedFromCheckpoint, Full.Programs);
-  EXPECT_EQ(Merged.toJson(false), Want.toJson(false));
-  std::remove(Journal.c_str());
-}
-
 TEST(Resume, MismatchedHeaderDiscardsTheJournal) {
   std::string Journal = tempPath("resume_mismatch");
   std::remove(Journal.c_str());

@@ -2,12 +2,13 @@
 ///
 /// \file
 /// Unit tests for the support library: symbols, RNG, permutations,
-/// formatting.
+/// formatting, the CRC-32 and the payload codec.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/Format.h"
 #include "support/Permutation.h"
+#include "support/RecordLog.h"
 #include "support/Rng.h"
 #include "support/Symbol.h"
 
@@ -16,6 +17,36 @@
 using namespace tracesafe;
 
 namespace {
+
+TEST(Crc32, MatchesTheStandardCheckValue) {
+  // The reflected CRC-32 check value, shared by the wire frames, TSRL
+  // blocks and RecordLog records. 34 bytes run the 8-byte slices and the
+  // byte tail.
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+  EXPECT_EQ(crc32("The quick brown fox jumps over the", 34), 0x3163E78Au);
+}
+
+TEST(PayloadReader, RoundTripsAndRejectsShortOrTrailingBytes) {
+  std::string P;
+  putU8(P, 7);
+  putU64(P, 0x0123456789ABCDEFull);
+  putStr(P, std::string("a\0b", 3));
+  uint8_t B = 0;
+  uint64_t W = 0;
+  std::string S;
+  PayloadReader R(P);
+  EXPECT_TRUE(R.u8(B) && R.u64(W) && R.str(S) && R.done());
+  EXPECT_EQ(B, 7u);
+  EXPECT_EQ(W, 0x0123456789ABCDEFull);
+  EXPECT_EQ(S, std::string("a\0b", 3));
+  PayloadReader Short(std::string_view(P).substr(0, P.size() - 1));
+  EXPECT_FALSE(Short.u8(B) && Short.u64(W) && Short.str(S));
+  const std::string Longer = P + "x";
+  PayloadReader Trailing(Longer);
+  EXPECT_TRUE(Trailing.u8(B) && Trailing.u64(W) && Trailing.str(S));
+  EXPECT_FALSE(Trailing.done());
+}
 
 TEST(Symbol, InternIsIdempotent) {
   SymbolId A = Symbol::intern("support_test_sym");

@@ -185,6 +185,11 @@ int runChaos(FuzzOptions Options, uint64_t Seed,
     Options.Resume = false;
     FuzzReport First = runFuzz(Options);
     Watchdog.join();
+    if (!First.CheckpointError.empty()) {
+      std::fprintf(stderr, "chaos: checkpoint %s\n",
+                   First.CheckpointError.c_str());
+      return 1;
+    }
     std::printf("chaos: phase 1 %s\n", First.summary().c_str());
 
     if (GCancel.requested()) {
@@ -555,6 +560,11 @@ int main(int Argc, char **Argv) {
 
   Options.Cancel = &GCancel;
   FuzzReport Report = runFuzz(Options);
+  if (!Report.CheckpointError.empty()) {
+    std::fprintf(stderr, "%s: checkpoint %s\n", Argv[0],
+                 Report.CheckpointError.c_str());
+    return 1;
+  }
 
   std::printf("%s\n", Report.summary().c_str());
   printFailures(Report, Verbose);

@@ -74,10 +74,13 @@ cmake --build build-asan --target fuzz_harness test_budget test_shrink \
 echo "===== sanitizer daemon smoke ====="
 cmake --build build-asan --target test_protocol test_daemon \
   test_daemon_chaos test_record_log test_cache_store test_resume \
-  tracesafed fuzz_harness
+  test_pair_query tracesafed fuzz_harness
 ./build-asan/tests/test_protocol
 ./build-asan/tests/test_daemon
 ./build-asan/tests/test_daemon_chaos
+# The pair-query engine (Lemma 5 certificate, reduced engines, cache)
+# against the execution-based checkers, verdict for verdict.
+./build-asan/tests/test_pair_query
 # The persistence formats on RecordLog: the corruption matrix over the
 # cache store, the daemon journal and the fuzz checkpoint, then each
 # format's own suite.

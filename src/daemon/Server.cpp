@@ -12,6 +12,7 @@
 #include "verify/Canonical.h"
 #include "verify/Checks.h"
 #include "verify/Degrade.h"
+#include "verify/PairQuery.h"
 
 #include <algorithm>
 #include <atomic>
@@ -90,6 +91,24 @@ std::string renderBehaviours(const std::set<Behaviour> &S) {
   return Out;
 }
 
+/// Revision of the pair engine (verify/PairQuery), appended to the verdict
+/// cache key of DrfGuarantee and ThinAir queries. A cache hit replays the
+/// verdict's recorded cost, and that cost is the engine's: entries that an
+/// earlier engine wrote to a --cache-file (the execution checkers, whose
+/// costs run about 2.6x higher) must miss, not replay a cost this engine
+/// does not charge. Change it whenever the pair engine's charges change.
+constexpr char PairEngineRevision[] = "pair-engine:lemma5";
+
+/// The verdict cache and single-flight key of \p Q under the clamped
+/// budget \p Spec: its canonicalQueryKey, salted for the pair kinds.
+std::string queryCacheKey(const QueryRequest &Q, const BudgetSpec &Spec) {
+  std::string Key = canonicalQueryKey(static_cast<uint8_t>(Q.Kind),
+                                      Q.Program, Q.Transformed, Spec);
+  if (Q.Kind == QueryKind::DrfGuarantee || Q.Kind == QueryKind::ThinAir)
+    Key += PairEngineRevision;
+  return Key;
+}
+
 /// Attaches the live-progress mirrors (if the caller installed any) to a
 /// freshly created budget. Extra bases accumulate on top of the hook's
 /// own, for the oracle-fallback budget that continues a primary one.
@@ -104,8 +123,10 @@ void wireMirrors(Budget &B, const EvalHooks *Hooks, uint64_t ExtraVisited,
 /// std::set-memoised engines (the Degrade layer's fallback path, sharing
 /// no code with the interned reduced engines) and bypasses the
 /// BehaviourCache, so a fault in the primary path cannot recur in the
-/// fallback. Engines run Workers=1: the daemon parallelises across
-/// queries, and sequential engines keep verdict bytes run-independent.
+/// fallback. Pair queries go to verify/PairQuery on the primary path and
+/// to the execution-based checkers of verify/Checks on the fallback.
+/// Engines run Workers=1: the daemon parallelises across queries, and
+/// sequential engines keep verdict bytes run-independent.
 QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
                       Budget &B, bool Oracle) {
   QueryResponse R;
@@ -158,7 +179,8 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
   case QueryKind::DrfGuarantee: {
     ExecLimits E;
     E.Shared = &B;
-    DrfGuaranteeReport Rep = checkDrfGuarantee(O, *T2, E);
+    DrfGuaranteeReport Rep = Oracle ? checkDrfGuarantee(O, *T2, E)
+                                    : drfGuaranteeQuery(O, *T2, B);
     R.Kind = outcomeVerdict(Rep.outcome());
     if (R.Kind == VerdictKind::Unknown)
       R.Reason = Rep.Reason;
@@ -174,7 +196,8 @@ QueryResponse runKind(QueryKind K, const Program &O, const Program *T2,
     ExploreLimits XL;
     XL.Shared = &B;
     XL.Workers = 1;
-    ThinAirReport Rep = checkThinAir(O, *T2, C, E, XL);
+    ThinAirReport Rep = Oracle ? checkThinAir(O, *T2, C, E, XL)
+                               : thinAirQuery(O, *T2, C, B);
     R.Kind = outcomeVerdict(Rep.outcome());
     if (R.Kind == VerdictKind::Unknown)
       R.Reason = Rep.Reason;
@@ -338,15 +361,14 @@ QueryResponse daemon::evaluateQuery(const QueryRequest &Q,
 
   // Verdict memoisation: whole-query responses are cached under the
   // canonical key (alpha-renamed, thread-order-normalised text plus the
-  // clamped budget class). A hit replays the recorded visit/byte cost
-  // into this query's budget first — warmth invariance — so the response
-  // below is byte-identical to what recomputation under the same budget
-  // would have produced, including the exhausted case.
+  // clamped budget class; see queryCacheKey). A hit replays the recorded
+  // visit/byte cost into this query's budget first — warmth invariance —
+  // so the response below is byte-identical to what recomputation under
+  // the same budget would have produced, including the exhausted case.
   std::string KeyStorage;
   const std::string *CacheKey = Hooks ? Hooks->CanonicalKey : nullptr;
   if (!CacheKey) {
-    KeyStorage = canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
-                                   Q.Transformed, Spec);
+    KeyStorage = queryCacheKey(Q, Spec);
     CacheKey = &KeyStorage;
   }
 
@@ -598,12 +620,12 @@ public:
   int run();
 
 private:
+  /// An admitted request, from admission until its verdict lands. A
+  /// completed request then lives on only as its response in Completed.
   struct Request {
     std::string Client;
     uint64_t Id = 0;
     QueryRequest Q;
-    QueryResponse Resp;
-    bool Done = false;
     CancelToken Cancel;
     std::weak_ptr<Connection> Waiter;
     /// The waiter negotiated streaming when the request was (re)attached.
@@ -649,9 +671,15 @@ private:
       Journal.append(admitRecord(R.Client, R.Id, R.Q));
   }
 
-  void journalVerdictLocked(const Request &R) {
+  /// Journals \p Req's verdict and moves it from Requests to Completed,
+  /// so a finished request keeps only the bytes a retry replays.
+  void completeLocked(const Request &Req, const QueryResponse &R) {
+    ++Stats.Completed;
     if (Journal.isOpen())
-      Journal.append(verdictRecord(R.Client, R.Id, R.Resp));
+      Journal.append(verdictRecord(Req.Client, Req.Id, R));
+    std::string Key = requestKey(Req.Client, Req.Id);
+    Requests.erase(Key);
+    Completed.emplace(std::move(Key), R);
   }
 
   //===--------------------------------------------------------------------===//
@@ -846,21 +874,15 @@ private:
           ReleaseLocked(F);
         }
       } else {
-        Req->Done = true;
-        Req->Resp = R;
-        ++Stats.Completed;
         if (R.Degraded)
           ++Stats.Degraded;
-        journalVerdictLocked(*Req);
+        completeLocked(*Req, R);
         // Fan-out: every coalesced follower completes with the leader's
         // verdict bytes — journaled under its own (client, id) so a
         // retry or resume replays it like any other verdict.
         for (const ReqPtr &F : Followers) {
           F->Leader.reset();
-          F->Done = true;
-          F->Resp = R;
-          ++Stats.Completed;
-          journalVerdictLocked(*F);
+          completeLocked(*F, R);
           ReleaseLocked(F);
           if (ConnPtr FW = F->Waiter.lock())
             FanOut.emplace_back(std::move(FW), F);
@@ -974,27 +996,24 @@ private:
     // identity below.
     std::string CanonKey;
     if (Q.Kind >= QueryKind::ProgramDrf && Q.Kind <= QueryKind::ThinAir)
-      CanonKey =
-          canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
-                            Q.Transformed,
-                            clampBudget(Q.Budget, Opts.QuotaCeiling));
+      CanonKey = queryCacheKey(Q, clampBudget(Q.Budget, Opts.QuotaCeiling));
     ReqPtr Fresh;
     {
       std::lock_guard<std::mutex> Lock(M);
       std::string Key = requestKey(C->Client, F.RequestId);
+      auto Done = Completed.find(Key);
       auto It = Requests.find(Key);
-      if (It != Requests.end()) {
-        // Idempotent retry: an in-flight request is re-targeted at this
-        // connection; a completed one replays its stored verdict. Neither
-        // consumes admission quota again, and a replayed verdict streams
-        // no Progress — the work already happened.
-        if (!It->second->Done) {
-          It->second->Waiter = C;
-          It->second->Streaming = C->Streaming;
-          return;
-        }
+      // Idempotent retry: a completed request replays its stored verdict;
+      // an in-flight one is re-targeted at this connection. Neither
+      // consumes admission quota again, and a replayed verdict streams no
+      // Progress — the work already happened.
+      if (Done != Completed.end()) {
         ++Stats.Replayed;
-        Out.Payload = encodeResponse(It->second->Resp);
+        Out.Payload = encodeResponse(Done->second);
+      } else if (It != Requests.end()) {
+        It->second->Waiter = C;
+        It->second->Streaming = C->Streaming;
+        return;
       } else if (ShuttingDown || faultPoint(FaultSite::Admission) ||
                  Inflight >= Opts.QueueCap ||
                  ClientLoad[C->Client] >= perClientCapLocked()) {
@@ -1029,7 +1048,7 @@ private:
         ReqPtr Leader;
         if (!Req->CanonKey.empty()) {
           auto InIt = InFlightByCanon.find(Req->CanonKey);
-          if (InIt != InFlightByCanon.end() && !InIt->second->Done)
+          if (InIt != InFlightByCanon.end())
             Leader = InIt->second;
           else
             InFlightByCanon[Req->CanonKey] = Req;
@@ -1061,7 +1080,7 @@ private:
       throw ProtocolError("cancel before hello");
     std::lock_guard<std::mutex> Lock(M);
     auto It = Requests.find(requestKey(C->Client, F.RequestId));
-    if (It != Requests.end() && !It->second->Done)
+    if (It != Requests.end())
       It->second->Cancel.request();
   }
 
@@ -1120,6 +1139,8 @@ private:
       // Heartbeats: one Running update per streaming request whose visit
       // counter moved since the last tick. A coalesced follower beats on
       // its *leader's* counters — the computation running on its behalf.
+      // Requests holds the in-flight only, so a tick costs what is
+      // running, not what has been served.
       for (const auto &KV : Requests) {
         const ReqPtr &Req = KV.second;
         ReqPtr Src = Req->Leader ? Req->Leader : Req;
@@ -1231,7 +1252,10 @@ private:
   const ServerOptions &Opts;
   ServerStats &Stats;
   std::mutex M;
+  /// Admitted requests without a verdict yet, by requestKey.
   std::unordered_map<std::string, ReqPtr> Requests;
+  /// Verdicts of completed requests, by requestKey: what a retry replays.
+  std::unordered_map<std::string, QueryResponse> Completed;
   /// Canonical key -> the request currently computing it (the leader).
   /// Entries are erased as their verdicts land; never persisted.
   std::unordered_map<std::string, ReqPtr> InFlightByCanon;
@@ -1311,19 +1335,19 @@ int Server::run() {
       }
       for (JournalEntry &E : Entries) {
         Kept.push_back(admitRecord(E.Client, E.Id, E.Q));
-        if (E.Done)
+        if (E.Done) {
           Kept.push_back(verdictRecord(E.Client, E.Id, E.Resp));
+          Completed.emplace(requestKey(E.Client, E.Id), std::move(E.Resp));
+          continue;
+        }
         auto Req = std::make_shared<Request>();
         Req->Client = E.Client;
         Req->Id = E.Id;
         Req->Q = std::move(E.Q);
-        Req->Resp = std::move(E.Resp);
-        Req->Done = E.Done;
         Requests.emplace(requestKey(Req->Client, Req->Id), Req);
-        if (!Req->Done)
-          Orphans.push_back(std::move(Req));
+        Orphans.push_back(std::move(Req));
       }
-      log("resumed " + std::to_string(Requests.size()) + " entries, " +
+      log("resumed " + std::to_string(Entries.size()) + " entries, " +
           std::to_string(Orphans.size()) + " orphans to recompute");
     }
     std::string Err;
@@ -1495,15 +1519,13 @@ int Server::run() {
       ShuttingDown = true;
       PendInteractive.clear();
       PendBatch.clear();
-      for (auto &KV : Requests)
-        if (!KV.second->Done)
-          KV.second->Cancel.request();
-      // Break the single-flight ownership cycles now: a leader that was
-      // still *queued* never runs its completion fan-out, and mutually
-      // owning shared_ptrs would outlive the Requests map. The journal
-      // already holds every follower's admission, so a resume recomputes
-      // them independently.
+      // Requests holds only the in-flight. Also break the single-flight
+      // ownership cycles now: a leader that was still *queued* never runs
+      // its completion fan-out, and mutually owning shared_ptrs would
+      // outlive the Requests map. The journal already holds every
+      // follower's admission, so a resume recomputes them independently.
       for (auto &KV : Requests) {
+        KV.second->Cancel.request();
         KV.second->Leader.reset();
         KV.second->Followers.clear();
       }

@@ -209,11 +209,12 @@ struct EvalHooks {
   /// campaign iterating sub-queries) reports cumulative totals.
   uint64_t VisitedBase = 0;
   uint64_t BytesBase = 0;
-  /// Precomputed canonicalQueryKey for this query (single-program and
-  /// pair kinds only), so evaluateQuery skips the canonicalising parse
-  /// the daemon already did. Null = compute internally. Campaign
-  /// sub-queries always recompute (the hint describes the campaign, not
-  /// its subs).
+  /// Precomputed verdict cache key for this query (single-program and
+  /// pair kinds only): its canonicalQueryKey, salted with the pair
+  /// engine's revision for the pair kinds. evaluateQuery then skips the
+  /// canonicalising parse the daemon already did. Null = compute
+  /// internally. Campaign sub-queries always recompute (the hint
+  /// describes the campaign, not its subs).
   const std::string *CanonicalKey = nullptr;
 };
 

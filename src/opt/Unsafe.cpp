@@ -186,3 +186,18 @@ Program tracesafe::applyUnsafeConstProp(const Program &P,
       std::make_unique<AssignStmt>(Ld.reg(), Operand::imm(C));
   return Out;
 }
+
+std::optional<Program> tracesafe::applyFirstUnsafe(const Program &P) {
+  // Prefer lock elision: on a lock-disciplined DRF program it reliably
+  // manufactures a data race (a checkable Violated). Unsafe const-prop
+  // only ever *removes* behaviours in this language, so behaviour
+  // inclusion — a subset check — cannot catch it; it stays as the
+  // fallback to keep the transform total on lock-free programs.
+  std::vector<LockPair> Pairs = findLockPairs(P);
+  if (!Pairs.empty())
+    return elideLockPair(P, Pairs.front());
+  std::vector<ConstPropSite> Sites = findUnsafeConstProp(P);
+  if (!Sites.empty())
+    return applyUnsafeConstProp(P, Sites.front());
+  return std::nullopt;
+}

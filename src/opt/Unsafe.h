@@ -73,6 +73,11 @@ std::vector<LockPair> findLockPairs(const Program &P);
 /// introduce data races into race-free programs.
 Program elideLockPair(const Program &P, const LockPair &Pair);
 
+/// The fuzzer's injected unsafe pass: elides the first lock pair, else
+/// applies the first unsafe constant propagation; nullopt when neither
+/// applies.
+std::optional<Program> applyFirstUnsafe(const Program &P);
+
 } // namespace tracesafe
 
 #endif // TRACESAFE_OPT_UNSAFE_H

@@ -48,8 +48,10 @@ namespace {
 class WitnessSearch {
 public:
   WitnessSearch(const Traceset &Orig, const Trace &TPrime,
-                const EliminationSearchLimits &Limits, bool ProperOnly)
-      : Orig(Orig), TPrime(TPrime), Limits(Limits), ProperOnly(ProperOnly) {
+                const EliminationSearchLimits &Limits, bool ProperOnly,
+                SearchTally *Tally)
+      : Orig(Orig), TPrime(TPrime), Limits(Limits), ProperOnly(ProperOnly),
+        Tally(Tally) {
     Instances.push_back(Trace());
   }
 
@@ -144,7 +146,8 @@ private:
   }
 
   bool dfs(size_t J, size_t Extra) {
-    if (++Nodes > Limits.MaxNodesPerTrace) {
+    if (++Nodes > Limits.MaxNodesPerTrace || (Tally && !Tally->step()) ||
+        (Limits.Shared && !Limits.Shared->charge())) {
       Hit = true;
       return false;
     }
@@ -206,6 +209,7 @@ private:
   const Trace &TPrime;
   EliminationSearchLimits Limits;
   bool ProperOnly;
+  SearchTally *Tally;
 
   Trace Witness;
   std::vector<size_t> Dropped;
@@ -220,8 +224,8 @@ private:
 std::optional<Trace> tracesafe::findEliminationWitness(
     const Traceset &Orig, const Trace &TPrime,
     const EliminationSearchLimits &Limits, bool *Truncated, bool ProperOnly,
-    std::vector<size_t> *DroppedOut) {
-  WitnessSearch S(Orig, TPrime, Limits, ProperOnly);
+    std::vector<size_t> *DroppedOut, SearchTally *Tally) {
+  WitnessSearch S(Orig, TPrime, Limits, ProperOnly, Tally);
   bool Hit = false;
   std::optional<Trace> W = S.run(&Hit, DroppedOut);
   // The witness must belong-to Orig, so its length is bounded by the

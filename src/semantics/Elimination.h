@@ -22,6 +22,7 @@
 #define TRACESAFE_SEMANTICS_ELIMINATION_H
 
 #include "semantics/Eliminable.h"
+#include "support/Budget.h"
 #include "trace/Traceset.h"
 
 #include <cstdint>
@@ -51,6 +52,21 @@ struct EliminationSearchLimits {
   size_t MaxInstances = 4096;
   /// Cap on search nodes per trace of T'.
   uint64_t MaxNodesPerTrace = 2'000'000;
+  /// Optional shared query budget (deadline / visit / memory caps across
+  /// every engine of one query): each search node is charged to it, and an
+  /// exhausted budget truncates the search. Non-owning; may be null.
+  Budget *Shared = nullptr;
+};
+
+/// Node count of one traceset-level check against a whole-check cap, so
+/// many cheap per-trace searches cannot add up to an unbounded check.
+/// Shared by every search the check runs (single-threaded).
+struct SearchTally {
+  uint64_t Cap = 0; ///< 0 = no whole-check cap
+  uint64_t Spent = 0;
+
+  /// Counts one node; false once the cap is passed.
+  bool step() { return ++Spent <= Cap || Cap == 0; }
 };
 
 /// Searches for a wildcard trace t that belongs-to \p Orig such that
@@ -58,12 +74,14 @@ struct EliminationSearchLimits {
 /// sets \p *Truncated if the search hit a limit (in which case a nullopt
 /// answer means Unknown, not No). When \p DroppedOut is non-null it
 /// receives the (sorted) eliminated indices of the witness — the
-/// complement of the kept set S with t' = t|S.
+/// complement of the kept set S with t' = t|S. \p Tally, when non-null,
+/// counts the search's nodes towards an enclosing check's cap.
 std::optional<Trace>
 findEliminationWitness(const Traceset &Orig, const Trace &TPrime,
                        const EliminationSearchLimits &Limits = {},
                        bool *Truncated = nullptr, bool ProperOnly = false,
-                       std::vector<size_t> *DroppedOut = nullptr);
+                       std::vector<size_t> *DroppedOut = nullptr,
+                       SearchTally *Tally = nullptr);
 
 /// Result of a traceset-level check.
 struct TransformCheckResult {

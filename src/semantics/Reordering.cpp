@@ -45,8 +45,9 @@ class DepermutationSearch {
 public:
   DepermutationSearch(const Trace &TPrime,
                       const std::function<bool(const Trace &)> &Contains,
-                      const ReorderingSearchLimits &Limits)
-      : TPrime(TPrime), Contains(Contains), Limits(Limits),
+                      const ReorderingSearchLimits &Limits,
+                      SearchTally *Tally)
+      : TPrime(TPrime), Contains(Contains), Limits(Limits), Tally(Tally),
         F(TPrime.size(), 0), Used(TPrime.size(), false) {}
 
   std::optional<Permutation> run(bool *Truncated) {
@@ -60,7 +61,8 @@ public:
 
 private:
   bool dfs(size_t I) {
-    if (++Nodes > Limits.MaxNodesPerTrace) {
+    if (++Nodes > Limits.MaxNodesPerTrace || (Tally && !Tally->step()) ||
+        (Limits.Shared && !Limits.Shared->charge())) {
       Hit = true;
       return false;
     }
@@ -95,6 +97,7 @@ private:
   const Trace &TPrime;
   const std::function<bool(const Trace &)> &Contains;
   ReorderingSearchLimits Limits;
+  SearchTally *Tally;
   Permutation F;
   std::vector<bool> Used;
   uint64_t Nodes = 0;
@@ -106,7 +109,7 @@ private:
 std::optional<Permutation> tracesafe::findDepermutation(
     const Trace &TPrime, const std::function<bool(const Trace &)> &Contains,
     const ReorderingSearchLimits &Limits, bool *Truncated) {
-  DepermutationSearch S(TPrime, Contains, Limits);
+  DepermutationSearch S(TPrime, Contains, Limits, nullptr);
   return S.run(Truncated);
 }
 
@@ -137,7 +140,9 @@ TransformCheckResult tracesafe::checkEliminationThenReordering(
 
   // Membership oracle for the intermediate set T-bar: "is this trace an
   // elimination of some wildcard trace belonging-to Orig?" — memoised, and
-  // any truncation taints the final verdict towards Unknown.
+  // any truncation taints the final verdict towards Unknown. One tally
+  // covers both searches, so ReorderLimits.MaxNodes bounds the whole check.
+  SearchTally Tally{ReorderLimits.MaxNodes};
   std::map<Trace, bool> Memo;
   bool OracleTruncated = false;
   std::set<Trace> Used; // Accepted members of T-bar, for certification.
@@ -146,7 +151,8 @@ TransformCheckResult tracesafe::checkEliminationThenReordering(
     if (It != Memo.end())
       return It->second;
     bool Truncated = false;
-    bool In = findEliminationWitness(Orig, T, ElimLimits, &Truncated)
+    bool In = findEliminationWitness(Orig, T, ElimLimits, &Truncated,
+                                     /*ProperOnly=*/false, nullptr, &Tally)
                   .has_value();
     OracleTruncated |= (Truncated && !In);
     Memo.emplace(T, In);
@@ -163,7 +169,8 @@ TransformCheckResult tracesafe::checkEliminationThenReordering(
     ++Result.TracesChecked;
     bool Truncated = false;
     std::optional<Permutation> F =
-        findDepermutation(TPrime, Contains, ReorderLimits, &Truncated);
+        DepermutationSearch(TPrime, Contains, ReorderLimits, &Tally)
+            .run(&Truncated);
     if (F)
       continue;
     Result.Verdict = (Truncated || OracleTruncated) ? CheckVerdict::Unknown

@@ -48,6 +48,13 @@ Trace depermute(const Trace &TPrime, const Permutation &F);
 /// Bounds for the de-permutation search.
 struct ReorderingSearchLimits {
   uint64_t MaxNodesPerTrace = 5'000'000;
+  /// Cap on the search nodes of one whole checkEliminationThenReordering
+  /// call, its elimination oracle's nodes included (0 = none); hitting it
+  /// makes the verdict Unknown. The other searches ignore it.
+  uint64_t MaxNodes = 0;
+  /// Optional shared query budget, charged per search node like
+  /// EliminationSearchLimits::Shared. Non-owning; may be null.
+  Budget *Shared = nullptr;
 };
 
 /// Searches for a function de-permuting \p TPrime into the trace set given

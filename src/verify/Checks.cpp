@@ -19,7 +19,6 @@ const char *tracesafe::guaranteeOutcomeName(GuaranteeOutcome O) {
 BehaviourComparison tracesafe::compareBehaviours(const Program &Orig,
                                                  const Program &Transformed,
                                                  ExecLimits Limits) {
-  BehaviourComparison Out;
   // Both programs must face the same environment: pin the input domain to
   // the original's (a transformation may remove constants, which would
   // otherwise shrink the transformed program's default domain and mask or
@@ -29,19 +28,29 @@ BehaviourComparison tracesafe::compareBehaviours(const Program &Orig,
   ExecStats SA, SB;
   std::set<Behaviour> A = programBehaviours(Orig, Limits, &SA);
   std::set<Behaviour> B = programBehaviours(Transformed, Limits, &SB);
-  Out.OrigTruncated = SA.Truncated;
-  Out.TransformedTruncated = SB.Truncated;
-  Out.Truncated = SA.Truncated || SB.Truncated;
-  Out.Reason = mergeReason(SA.Reason, SB.Reason);
+  return compareBehaviourSets(A, B, SA.Truncated, SB.Truncated,
+                              mergeReason(SA.Reason, SB.Reason));
+}
+
+BehaviourComparison
+tracesafe::compareBehaviourSets(const std::set<Behaviour> &Orig,
+                                const std::set<Behaviour> &Transformed,
+                                bool OrigTruncated, bool TransformedTruncated,
+                                TruncationReason Reason) {
+  BehaviourComparison Out;
+  Out.OrigTruncated = OrigTruncated;
+  Out.TransformedTruncated = TransformedTruncated;
+  Out.Truncated = OrigTruncated || TransformedTruncated;
+  Out.Reason = Reason;
   Out.Subset = true;
-  for (const Behaviour &Beh : B) {
-    if (A.count(Beh))
+  for (const Behaviour &Beh : Transformed) {
+    if (Orig.count(Beh))
       continue;
     Out.Subset = false;
     Out.NewBehaviour = Beh;
     break;
   }
-  Out.Equal = Out.Subset && A.size() == B.size();
+  Out.Equal = Out.Subset && Orig.size() == Transformed.size();
   return Out;
 }
 

@@ -19,6 +19,7 @@
 #include "lang/ProgramExec.h"
 
 #include <optional>
+#include <set>
 #include <string>
 
 namespace tracesafe {
@@ -50,6 +51,16 @@ struct BehaviourComparison {
 BehaviourComparison compareBehaviours(const Program &Orig,
                                       const Program &Transformed,
                                       ExecLimits Limits = {});
+
+/// The comparison of two behaviour sets, each with whether its search was
+/// truncated; \p Reason is the merged truncation reason. compareBehaviours
+/// and the daemon's pair engine (verify/PairQuery.h) both decide subset,
+/// equality and the new-behaviour witness here.
+BehaviourComparison compareBehaviourSets(const std::set<Behaviour> &Orig,
+                                         const std::set<Behaviour> &Transformed,
+                                         bool OrigTruncated,
+                                         bool TransformedTruncated,
+                                         TruncationReason Reason);
 
 /// The statement of the DRF guarantee for one original/transformed pair.
 struct DrfGuaranteeReport {

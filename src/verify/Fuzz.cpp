@@ -37,21 +37,6 @@ uint64_t mixSeeds(uint64_t A, uint64_t B) {
 /// predicate stays meaningful as the program gets smaller.
 using TransformFn = std::function<std::optional<Program>(const Program &)>;
 
-std::optional<Program> applyFirstUnsafe(const Program &P) {
-  // Prefer lock elision: on a lock-disciplined DRF program it reliably
-  // manufactures a data race (a checkable Violated). Unsafe const-prop
-  // only ever *removes* behaviours in this language, so behaviour
-  // inclusion — a subset check — cannot catch it; it stays as the
-  // fallback to keep the transform total on lock-free programs.
-  std::vector<LockPair> Pairs = findLockPairs(P);
-  if (!Pairs.empty())
-    return elideLockPair(P, Pairs.front());
-  std::vector<ConstPropSite> Sites = findUnsafeConstProp(P);
-  if (!Sites.empty())
-    return applyUnsafeConstProp(P, Sites.front());
-  return std::nullopt;
-}
-
 Program applySafeChain(const Program &P, uint64_t ChainSeed,
                        size_t MaxSteps) {
   Rng R(ChainSeed);
@@ -259,18 +244,36 @@ bool decodeRecord(std::string_view P, uint64_t Seed, uint64_t Programs,
 /// The campaign's checkpoint writer.
 class Journal {
 public:
-  /// Replaces \p Path with a log of the \p Resumed records (RecordLog::
-  /// rewrite: a crash mid-compaction leaves the old journal, never a
-  /// shorter one) and keeps it open for the fresh records.
-  void open(const std::string &Path, uint64_t Seed, uint64_t Programs,
-            const std::map<uint64_t, IndexRecord> &Resumed) {
+  /// Opens the checkpoint at \p Path. A file that is not a checkpoint
+  /// (another format's log, or not a log at all) is refused untouched, as
+  /// the daemon refuses a foreign journal or cache file. With \p Resume,
+  /// every valid record of the (Seed, Programs) campaign is first loaded
+  /// into \p Resumed (an index recorded twice keeps the later record;
+  /// another campaign's records contribute nothing). The file is then
+  /// replaced by a log of exactly those records (RecordLog::rewrite: a
+  /// crash mid-compaction leaves the old journal, never a shorter one)
+  /// and kept open for the fresh records. False with \p Err set on
+  /// refusal or I/O failure.
+  bool open(const std::string &Path, uint64_t Seed, uint64_t Programs,
+            bool Resume, std::map<uint64_t, IndexRecord> &Resumed,
+            std::string &Err) {
     this->Seed = Seed;
     this->Programs = Programs;
+    RecordLogInfo Info =
+        RecordLog::load(Path, CheckpointFormat, [&](std::string_view P) {
+          uint64_t Idx = 0;
+          IndexRecord R;
+          if (Resume && decodeRecord(P, Seed, Programs, Idx, R))
+            Resumed[Idx] = std::move(R);
+        });
+    if (!Info.HeaderOk) {
+      Err = Path + ": " + Info.Error;
+      return false;
+    }
     std::vector<std::string> Records;
     for (const auto &[Idx, R] : Resumed)
       Records.push_back(encodeRecord(Seed, Programs, Idx, R));
-    std::string Err;
-    Log.rewrite(Path, Records, Err);
+    return Log.rewrite(Path, Records, Err);
   }
 
   void record(uint64_t Idx, const IndexRecord &R) {
@@ -282,19 +285,6 @@ private:
   RecordLog Log{CheckpointFormat};
   uint64_t Seed = 0, Programs = 0;
 };
-
-/// Loads every valid record of the (Seed, Programs) campaign from \p Path;
-/// an index recorded twice keeps the later record. A journal of another
-/// campaign or format contributes nothing.
-void loadJournal(const std::string &Path, uint64_t Seed, uint64_t Programs,
-                 std::map<uint64_t, IndexRecord> &Out) {
-  RecordLog::load(Path, CheckpointFormat, [&](std::string_view P) {
-    uint64_t Idx = 0;
-    IndexRecord R;
-    if (decodeRecord(P, Seed, Programs, Idx, R))
-      Out[Idx] = std::move(R);
-  });
-}
 
 //===--------------------------------------------------------------------===//
 // Coverage-guided seed scheduling.
@@ -749,13 +739,14 @@ FuzzReport tracesafe::runFuzz(const FuzzOptions &Options) {
   // Resume: merge the journaled records and mark their indices done. The
   // journal is then compacted to exactly those records, in index order,
   // before fresh indices are appended after them.
+  // A checkpoint that cannot be opened stops the campaign before it runs
+  // anything: work that no journal records would be lost to a resume.
   std::map<uint64_t, IndexRecord> Resumed;
-  if (Options.Resume && !Options.CheckpointPath.empty())
-    loadJournal(Options.CheckpointPath, Options.Seed, Options.Programs,
-                Resumed);
   Journal J;
-  if (!Options.CheckpointPath.empty())
-    J.open(Options.CheckpointPath, Options.Seed, Options.Programs, Resumed);
+  if (!Options.CheckpointPath.empty() &&
+      !J.open(Options.CheckpointPath, Options.Seed, Options.Programs,
+              Options.Resume, Resumed, Report.CheckpointError))
+    return Report;
 
   // Completion map: true once an index's record is merged (from the
   // journal or a finished run). Drives the post-loop sweep that re-runs

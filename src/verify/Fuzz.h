@@ -74,7 +74,9 @@ struct FuzzOptions {
                        /*DeadlineMs=*/10'000};
   /// Checkpoint journal ("" = none), a RecordLog in CheckpointFormat.
   /// One record per finished program index, appended as it completes, so
-  /// a killed campaign loses at most the indices that were in flight. See
+  /// a killed campaign loses at most the indices that were in flight. A
+  /// file of another format, or a path that cannot be written, stops the
+  /// campaign before it runs (FuzzReport::CheckpointError). See
   /// docs/PERFORMANCE.md for the format.
   std::string CheckpointPath;
   /// Load CheckpointPath first and skip every index it records as done
@@ -134,6 +136,9 @@ struct FuzzReport {
   bool Cancelled = false;
   /// Indices loaded from a resume journal instead of being re-run.
   uint64_t SkippedFromCheckpoint = 0;
+  /// Why the checkpoint could not be opened (a foreign file, an I/O
+  /// error); the campaign then ran nothing. Empty otherwise.
+  std::string CheckpointError;
   /// Cross-query BehaviourCache traffic attributable to this run (deltas
   /// of the process-global counters). Volatile like ElapsedMs: a resumed
   /// campaign skips recomputation and a warm process changes the split,

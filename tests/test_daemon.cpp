@@ -15,8 +15,12 @@
 #include "racelog/Synth.h"
 #include "daemon/Server.h"
 #include "daemon/Transport.h"
+#include "lang/Parser.h"
 #include "support/Failure.h"
 #include "verify/BehaviourCache.h"
+#include "verify/CacheStore.h"
+#include "verify/Canonical.h"
+#include "verify/Checks.h"
 
 #include <gtest/gtest.h>
 
@@ -289,6 +293,41 @@ TEST(Daemon, RetransmittedRequestIdsAreIdempotent) {
   ServerStats S = Server.shutdown();
   EXPECT_EQ(S.Admitted, 1u) << "the retry must not be re-admitted";
   EXPECT_EQ(S.Completed, 1u) << "the retry must not recompute";
+  EXPECT_EQ(S.Replayed, 1u);
+}
+
+TEST(Daemon, TheFirstIdStillReplaysAfterManyCompletions) {
+  // A completed request keeps only its verdict; that is still enough to
+  // replay it, byte for byte, long after it finished.
+  ServerOptions O;
+  O.SocketPath = uniqueSocket("horizon");
+  ServerFixture Server(O);
+  ClientOptions CO;
+  CO.SocketPath = Server.Opts.SocketPath;
+  CO.Name = "horizon-test";
+  CO.FirstRequestId = 1;
+  const unsigned Many = 200;
+  std::vector<QueryRequest> Qs;
+  for (unsigned I = 0; I < Many; ++I)
+    Qs.push_back(drfQuery("thread { x" + std::to_string(I) +
+                          " := 1; }\nthread { r0 := x" + std::to_string(I) +
+                          "; }\n"));
+  std::vector<QueryResponse> Got;
+  {
+    DaemonClient A(CO); // ids 1, 2, ... in call order
+    for (const QueryRequest &Q : Qs)
+      Got.push_back(A.call(Q));
+  }
+  ASSERT_EQ(Got.size(), Many);
+  QueryResponse Retry;
+  {
+    DaemonClient B(CO); // same identity: its first id is id 1 again
+    Retry = B.call(Qs.front());
+  }
+  EXPECT_EQ(Retry.str(), Got.front().str());
+  ServerStats S = Server.shutdown();
+  EXPECT_EQ(S.Admitted, Many) << "the retry must not be re-admitted";
+  EXPECT_EQ(S.Completed, Many) << "the retry must not recompute";
   EXPECT_EQ(S.Replayed, 1u);
 }
 
@@ -848,19 +887,32 @@ TEST(Daemon, StatsQueryKindSnapshotsCountersWithoutAdmission) {
 
   QueryRequest SQ;
   SQ.Kind = QueryKind::Stats;
-  QueryResponse R = Client.call(SQ);
+  // The fixture's readiness probe is a connection of its own, torn down
+  // by its reader thread, which may not have run yet on a loaded host.
+  // Snapshot until it has closed (bounded), counting the snapshots.
+  QueryResponse R;
+  uint64_t Snapshots = 0;
+  for (int Try = 0; Try < 500; ++Try) {
+    R = Client.call(SQ);
+    ++Snapshots;
+    if (R.Detail.find("open=1 ") != std::string::npos)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_EQ(R.Status, ResponseStatus::Ok);
   // (No "connections=" check: the fixture's readiness probe also counts.)
+  const std::string StatsKey =
+      "stats-queries=" + std::to_string(Snapshots);
   for (const char *Key :
        {"open=1", "admitted=2", "completed=2", "in-flight=0",
         "pend-interactive=0", "pend-batch=0", "shed-slow=0", "reaped=0",
-        "aged-dispatches=0", "stats-queries=1"})
+        "aged-dispatches=0", StatsKey.c_str()})
     EXPECT_NE(R.Detail.find(Key), std::string::npos)
         << "missing " << Key << " in: " << R.Detail;
 
   // The Stats kind is daemon-only and is never admitted or journaled.
   ServerStats S = Server.shutdown();
-  EXPECT_EQ(S.StatsQueries, 1u);
+  EXPECT_EQ(S.StatsQueries, Snapshots);
   EXPECT_EQ(S.Admitted, 2u);
   QueryResponse Local = evaluateQuery(SQ, TestCeiling);
   EXPECT_EQ(Local.Status, ResponseStatus::BadRequest);
@@ -1133,6 +1185,55 @@ TEST(Daemon, PersistentCacheWarmStartsARestartedDaemon) {
     EXPECT_GE(S.PersistLoaded, 1u);
   }
   std::remove(CachePath.c_str());
+}
+
+TEST(Daemon, StoredPairVerdictsOfAnEarlierEngineMiss) {
+  // A --cache-file written before the pair engine holds DrfGuarantee
+  // verdicts under their bare canonical key, at the execution checkers'
+  // cost. A hit replays the stored cost, so such an entry must miss: the
+  // answer after loading it equals the cold one, Visited included.
+  QueryRequest Q;
+  Q.Kind = QueryKind::DrfGuarantee;
+  Q.Program = "thread { lock m; g := 91; r0 := g; unlock m; }\n"
+              "thread { lock m; r1 := g; unlock m; }\n";
+  Q.Transformed = "thread { lock m; g := 91; r0 := 91; unlock m; }\n"
+                  "thread { lock m; r1 := g; unlock m; }\n";
+  BehaviourCache::global().clear();
+  QueryResponse Cold = evaluateQuery(Q, TestCeiling);
+  ASSERT_EQ(Cold.Status, ResponseStatus::Ok);
+  ASSERT_EQ(Cold.Kind, VerdictKind::Proved);
+
+  BudgetSpec Spec = clampBudget(Q.Budget, TestCeiling);
+  Budget Oracle(Spec);
+  ExecLimits E;
+  E.Shared = &Oracle;
+  checkDrfGuarantee(*parseProgram(Q.Program).Prog,
+                    *parseProgram(Q.Transformed).Prog, E);
+  ASSERT_NE(Oracle.visited(), Cold.Visited)
+      << "the two engines must charge differently for this test to bite";
+
+  std::string StorePath = uniqueSocket("legacy") + ".cache";
+  {
+    CacheStore Store;
+    std::string Err;
+    ASSERT_TRUE(Store.open(StorePath, Err)) << Err;
+    BehaviourCache::CachedQuery Entry;
+    Entry.Kind = Cold.Kind;
+    Entry.Reason = Cold.Reason;
+    Entry.Detail = Cold.Detail;
+    Entry.CostVisits = Oracle.visited();
+    Entry.CostBytes = Oracle.chargedBytes();
+    Store.append(canonicalQueryKey(static_cast<uint8_t>(Q.Kind), Q.Program,
+                                   Q.Transformed, Spec),
+                 Entry);
+    Store.close();
+  }
+  BehaviourCache::global().clear();
+  EXPECT_EQ(loadCacheStore(StorePath, BehaviourCache::global()).Loaded, 1u);
+  QueryResponse Warm = evaluateQuery(Q, TestCeiling);
+  EXPECT_EQ(Warm.str(), Cold.str());
+  std::remove(StorePath.c_str());
+  BehaviourCache::global().clear();
 }
 
 TEST(Daemon, FreshStartBeginsANewJournal) {

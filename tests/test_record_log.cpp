@@ -7,8 +7,8 @@
 /// (loadCacheStore, daemon::loadJournal, a resumed runFuzz), under a torn
 /// tail at every byte of the last record, a flipped bit in each record, a
 /// bad magic, a garbage header, a zero-length file and every other
-/// format's file. The consumer must take exactly the valid prefix, and the
-/// store and the journal must refuse a foreign file without touching it.
+/// format's file. The consumer must take exactly the valid prefix, and
+/// every consumer must refuse a foreign file without touching it.
 ///
 /// The daemon journal also gets an end-to-end case: a bit flip that would
 /// turn a journaled Refuted into Proved must make `--resume` recompute
@@ -158,8 +158,7 @@ struct FormatCase {
   /// Writes a fresh log with several records to the path.
   void (*Write)(const std::string &);
   Consumed (*Consume)(const std::string &);
-  /// Whether a foreign file is refused untouched (the fuzz checkpoint
-  /// instead discards it and starts the campaign afresh).
+  /// Whether a foreign file is refused untouched.
   bool RefusesForeign;
 };
 
@@ -233,14 +232,20 @@ const FormatCase Formats[] = {
      [](const std::string &Path) {
        static const std::string Want =
            runFuzz(checkpointCampaign("")).toJson(false);
+       std::string Before = readBytes(Path);
        FuzzOptions O = checkpointCampaign(Path);
        O.Resume = true;
        FuzzReport R = runFuzz(O);
+       if (!R.CheckpointError.empty()) {
+         EXPECT_EQ(R.ProgramsRun, 0u) << "a refused campaign must not run";
+         EXPECT_EQ(readBytes(Path), Before) << "refusal must not write";
+         return Consumed{true, 0};
+       }
        EXPECT_EQ(R.toJson(false), Want)
            << "a resumed campaign must match an uninterrupted one";
        return Consumed{false, R.SkippedFromCheckpoint};
      },
-     false},
+     true},
 };
 
 /// The pristine log of each format, written once.
@@ -350,6 +355,19 @@ INSTANTIATE_TEST_SUITE_P(Formats, RecordLogMatrix,
                          [](const ::testing::TestParamInfo<FormatCase> &I) {
                            return std::string(I.param.Name);
                          });
+
+TEST(FuzzCheckpoint, AnUnwritablePathStopsTheCampaign) {
+  const std::string Path = tempPath("missing") + "/no/such/dir/run.journal";
+  for (bool Resume : {false, true}) {
+    FuzzOptions O = checkpointCampaign(Path);
+    O.Resume = Resume;
+    FuzzReport R = runFuzz(O);
+    EXPECT_NE(R.CheckpointError.find(Path), std::string::npos)
+        << "got: " << R.CheckpointError;
+    EXPECT_EQ(R.ProgramsRun, 0u);
+    EXPECT_EQ(R.ChecksRun, 0u);
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // The log primitive
